@@ -19,7 +19,7 @@ import numpy as np
 
 from .common import (ConstructionError, DegenerateError, DomainError,
                      GraphonKitError, IntegrabilityError, ParameterError,
-                     SearchBudget, SizeError)
+                     SizeError)
 from .estimators import (degree_sorting, least_cut_exact, least_cut_search,
                          least_squares_exact, least_squares_search)
 from .experiments import ExperimentConfig, run_experiment
@@ -90,8 +90,7 @@ _ALGOS = {
     ("cut", "exact"): lambda A, a: least_cut_exact(A, a.kappa),
     ("cut", "search"): lambda A, a: least_cut_search(A, a.kappa,
                                                      a.restarts, a.seed),
-    ("degsort", "exact"): lambda A, a: degree_sorting(A, a.k),
-    ("degsort", "search"): lambda A, a: degree_sorting(A, a.k),
+    "degsort": lambda A, a: degree_sorting(A, a.k),   # the same in both modes
 }
 
 
@@ -102,7 +101,7 @@ def _cmd_estimate(args) -> int:
         raise ParameterError("--k is required for --algo degsort")
     _print_seed(args.seed)
     A = as_matrix(read_matrix(args.infile))
-    res = _ALGOS[(args.algo, args.mode)](A, args)
+    res = (_ALGOS.get(args.algo) or _ALGOS[(args.algo, args.mode)])(A, args)
     B = res.what.B
     doc = {
         "p": res.what.p.tolist(),

@@ -1,4 +1,5 @@
-"""Shared plumbing: exceptions, numeric estimates, search budgets, seeded RNG streams."""
+"""Shared plumbing: exceptions, numeric estimates, search budgets, seeded RNG
+streams, and set partitions in restricted-growth form."""
 
 from __future__ import annotations
 
@@ -70,3 +71,36 @@ def substream(seed: int, *tags) -> np.random.Generator:
     key = tuple(zlib.crc32(t.encode()) if isinstance(t, str) else int(t) for t in tags)
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def feasible_partitions(n: int, min_size: int, max_k: int):
+    """All set partitions of [n] in restricted-growth order with every class
+    of size >= min_size and at most max_k classes."""
+    assign = np.zeros(n, dtype=int)
+    sizes = [0] * max_k
+
+    def rec(i: int, used: int):
+        if i == n:
+            if all(s == 0 or s >= min_size for s in sizes):
+                yield assign.copy()
+            return
+        remaining = n - i
+        # prune: every started-but-short class still needs filling
+        deficit = sum(max(min_size - s, 0) for s in sizes[:used])
+        if deficit > remaining:
+            return
+        for c in range(min(used + 1, max_k)):
+            assign[i] = c
+            sizes[c] += 1
+            yield from rec(i + 1, max(used, c + 1))
+            sizes[c] -= 1
+
+    yield from rec(0, 0)
+
+
+def canonical_labels(assign) -> np.ndarray:
+    """Relabel classes in order of first appearance (restricted growth form)."""
+    labels, first, inverse = np.unique(assign, return_index=True, return_inverse=True)
+    rank = np.empty(labels.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(labels.size)
+    return rank[inverse]

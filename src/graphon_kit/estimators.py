@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DegenerateError, ParameterError, SearchBudget, SizeError, substream
+from .common import (DegenerateError, ParameterError, SearchBudget, SizeError,
+                     canonical_labels, feasible_partitions, substream)
 from .graphon import BlockModel
 from .metrics import cut_norm, cut_norm_exact, matrix_lp
 from .sampling import as_matrix, density
@@ -22,6 +23,8 @@ from .sampling import as_matrix, density
 LS_EXACT_MAX_N = 13
 CUT_EXACT_MAX_N = 10
 _FULL_SWAP_MAX_N = 32
+_SWAP_SAMPLE = 24          # swap candidates per vertex above _FULL_SWAP_MAX_N
+_POLISH_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,8 @@ class Partition:
 
     def canonical(self) -> "Partition":
         """Relabel classes in order of first appearance (restricted growth form)."""
-        seen: dict[int, int] = {}
-        out = np.empty(self.n, dtype=int)
-        for i, a in enumerate(self.assign):
-            if a not in seen:
-                seen[a] = len(seen)
-            out[i] = seen[a]
-        return Partition(out, max(len(seen), 1))
+        out = canonical_labels(self.assign)
+        return Partition(out, int(out.max()) + 1)
 
 
 @dataclass(frozen=True)
@@ -117,33 +115,28 @@ def _result_from_partition(A, pi: Partition, objective: float, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# partition enumeration (exact modes)
+# exact modes
 # ---------------------------------------------------------------------------
 
 
-def _feasible_partitions(n: int, min_size: int, max_k: int):
-    """All set partitions of [n] in restricted-growth order with every class
-    of size >= min_size and at most max_k classes."""
-    assign = np.zeros(n, dtype=int)
-    sizes = [0] * max_k
-
-    def rec(i: int, used: int):
-        if i == n:
-            if all(s == 0 or s >= min_size for s in sizes):
-                yield assign.copy()
-            return
-        remaining = n - i
-        # prune: every started-but-short class still needs filling
-        deficit = sum(max(min_size - s, 0) for s in sizes[:used])
-        if deficit > remaining:
-            return
-        for c in range(min(used + 1, max_k)):
-            assign[i] = c
-            sizes[c] += 1
-            yield from rec(i + 1, max(used, c + 1))
-            sizes[c] -= 1
-
-    yield from rec(0, 0)
+def _exact_fit(A, kappa: float, objective, max_n: int, name: str) -> EstimationResult:
+    """Minimize objective(A - A_pi) over all kappa-feasible partitions, gated
+    at n <= max_n; the first minimizer in restricted-growth order wins."""
+    a = as_matrix(A)
+    n = a.shape[0]
+    if n > max_n:
+        raise SizeError(f"exact {name} is gated at n <= {max_n} (got {n}); "
+                        f"use {name.replace(' ', '_')}_search")
+    best_obj = math.inf
+    best_assign = None
+    for assign in feasible_partitions(n, *kappa_class_bounds(n, kappa)):
+        _, lifted = block_average(a, Partition(assign, int(assign.max()) + 1))
+        obj = objective(a - lifted)
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_assign = assign
+    pi = Partition(best_assign, int(best_assign.max()) + 1)
+    return _result_from_partition(a, pi, best_obj, "exact")
 
 
 def least_squares_exact(A, kappa: float) -> EstimationResult:
@@ -153,46 +146,12 @@ def least_squares_exact(A, kappa: float) -> EstimationResult:
     partitions are enumerated. Ties break to the lexicographically smallest
     restricted-growth assignment.
     """
-    a = as_matrix(A)
-    n = a.shape[0]
-    if n > LS_EXACT_MAX_N:
-        raise SizeError(
-            f"exact least squares is gated at n <= {LS_EXACT_MAX_N} (got {n}); "
-            "use least_squares_search")
-    min_size, max_k = kappa_class_bounds(n, kappa)
-    best_obj = math.inf
-    best_assign = None
-    for assign in _feasible_partitions(n, min_size, max_k):
-        pi = Partition(assign, int(assign.max()) + 1)
-        _, lifted = block_average(a, pi)
-        obj = matrix_lp(a - lifted, 2)
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_assign = assign
-    pi = Partition(best_assign, int(best_assign.max()) + 1)
-    return _result_from_partition(a, pi, best_obj, "exact")
+    return _exact_fit(A, kappa, lambda r: matrix_lp(r, 2), LS_EXACT_MAX_N, "least squares")
 
 
 def least_cut_exact(A, kappa: float) -> EstimationResult:
     """Global minimizer of ||A - A_pi||_cut over kappa-feasible partitions."""
-    a = as_matrix(A)
-    n = a.shape[0]
-    if n > CUT_EXACT_MAX_N:
-        raise SizeError(
-            f"exact least cut is gated at n <= {CUT_EXACT_MAX_N} (got {n}); "
-            "use least_cut_search")
-    min_size, max_k = kappa_class_bounds(n, kappa)
-    best_obj = math.inf
-    best_assign = None
-    for assign in _feasible_partitions(n, min_size, max_k):
-        pi = Partition(assign, int(assign.max()) + 1)
-        _, lifted = block_average(a, pi)
-        obj = cut_norm_exact(a - lifted)[0]
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_assign = assign
-    pi = Partition(best_assign, int(best_assign.max()) + 1)
-    return _result_from_partition(a, pi, best_obj, "exact")
+    return _exact_fit(A, kappa, lambda r: cut_norm_exact(r)[0], CUT_EXACT_MAX_N, "least cut")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +278,7 @@ class _BlockSums:
 
 
 def _polish(a: np.ndarray, assign: np.ndarray, k: int, min_size: int,
-            rng: np.random.Generator, max_sweeps: int = 60,
-            swap_candidates: int | None = None) -> np.ndarray:
+            rng: np.random.Generator) -> np.ndarray:
     """Greedy exact-objective descent: single moves (size-floor preserving)
     plus cross-class swaps, until a local optimum under both move sets.
 
@@ -328,9 +286,7 @@ def _polish(a: np.ndarray, assign: np.ndarray, k: int, min_size: int,
     subset above _FULL_SWAP_MAX_N (cost grows quadratically)."""
     st = _BlockSums(a, assign, k)
     n = a.shape[0]
-    if swap_candidates is None:
-        swap_candidates = n if n <= _FULL_SWAP_MAX_N else 24
-    for _ in range(max_sweeps):
+    for _ in range(_POLISH_MAX_SWEEPS):
         improved = False
         for v in rng.permutation(n):
             c = st.assign[v]
@@ -347,10 +303,10 @@ def _polish(a: np.ndarray, assign: np.ndarray, k: int, min_size: int,
                 st.apply_move(v, best_d)
                 improved = True
         for v in rng.permutation(n):
-            if swap_candidates >= n:
+            if n <= _FULL_SWAP_MAX_N:
                 cands = np.arange(n)
             else:
-                cands = rng.permutation(n)[:swap_candidates]
+                cands = rng.permutation(n)[:_SWAP_SAMPLE]
             for u in cands:
                 if st.assign[u] == st.assign[v]:
                     continue

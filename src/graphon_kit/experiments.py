@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +94,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; a "kind" key (the CLI's
+        experiment kind) is allowed and ignored."""
+        missing = [key for key in ("graphon", "ns", "seeds") if key not in doc]
+        if missing:
+            raise ParameterError(f"experiment config lacks required key(s) {missing}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"kind"})
+        if unknown:
+            raise ParameterError(f"experiment config has unknown key(s) {unknown}")
         d = doc.get("density", {})
         return cls(
             graphon=graphon_from_json(doc["graphon"]),
@@ -247,7 +255,6 @@ def run_consistency(cfg: ExperimentConfig) -> list:
             else:
                 note = "empty graph; truth error skipped"
             if small and rho_obs > 0:
-                _, lifted = block_average(A, res.partition)
                 mode = "exact" if n <= PERM_EXACT_MAX_N else "heuristic"
                 q = as_matrix(sample.Q)
                 values["error_hat2_q"] = hat_delta_p(lifted / rho, q / rho, 2,
@@ -260,11 +267,6 @@ def run_consistency(cfg: ExperimentConfig) -> list:
                            time.perf_counter() - t0, note)
 
     return _run_trials(trial, _keys(cfg))
-
-
-def _random_partition(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    assign = rng.integers(k, size=n)
-    return assign
 
 
 def _eps_tilde(diff: np.ndarray, assigns, k: int) -> float:
@@ -305,8 +307,7 @@ def run_concentration(cfg: ExperimentConfig) -> list:
         diff = A - Q
 
         rng = substream(seed, "candidates")
-        assigns = [_random_partition(n, k, rng)
-                   for _ in range(cfg.n_random_partitions)]
+        assigns = [rng.integers(k, size=n) for _ in range(cfg.n_random_partitions)]
         kappa = min(0.9, 1.0 / k) if n >= k else 1.0
         tiny = SearchBudget(restarts=1, iterations=1)
         for est in (degree_sorting(A, k) if A.sum() > 0 else None,

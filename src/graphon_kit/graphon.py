@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,6 +26,8 @@ from .common import (
     IntegrabilityError,
     ParameterError,
     SearchBudget,
+    canonical_labels,
+    feasible_partitions,
     substream,
 )
 
@@ -173,11 +174,6 @@ def _power_law_g(alpha: float):
             return (1.0 - alpha) * (1.0 - np.asarray(x, dtype=float)) ** (-alpha)
 
     return g
-
-
-def _power_law_g_inv(alpha: float, t):
-    """x such that g(x) = t, for t >= 1 - alpha."""
-    return 1.0 - ((1.0 - alpha) / t) ** (1.0 / alpha)
 
 
 class _PowerLawBase(Graphon):
@@ -508,35 +504,19 @@ def step_average(W: Graphon, P: IntervalPartition, rel_tol: float = 1e-9) -> Blo
 # ---------------------------------------------------------------------------
 
 
-def _set_partitions(k: int):
-    """All partitions of range(k) as group-index assignments (restricted growth strings)."""
-
-    def rec(i, assign, nmax):
-        if i == k:
-            yield tuple(assign)
-            return
-        for g in range(nmax + 1):
-            assign.append(g)
-            yield from rec(i + 1, assign, max(nmax, g + 1))
-            assign.pop()
-
-    yield from rec(0, [], 0)
-
-
 def _merge_model(m: BlockModel, assign) -> BlockModel:
     """Merge blocks by group assignment, mass-weighted averaging of affinities."""
     g = np.asarray(assign)
     r = g.max() + 1
-    P = np.zeros(r)
-    np.add.at(P, g, m.p)
     mass = np.outer(m.p, m.p)
+    cells = (g[:, None].repeat(m.k, 1), g[None, :].repeat(m.k, 0))
     Bm = np.zeros((r, r))
     Wm = np.zeros((r, r))
-    np.add.at(Bm, (g[:, None].repeat(m.k, 1), g[None, :].repeat(m.k, 0)), mass * m.B)
-    np.add.at(Wm, (g[:, None].repeat(m.k, 1), g[None, :].repeat(m.k, 0)), mass)
+    np.add.at(Bm, cells, mass * m.B)
+    np.add.at(Wm, cells, mass)
     with np.errstate(invalid="ignore", divide="ignore"):
         Bm = np.where(Wm > 0, Bm / Wm, 0.0)
-    return BlockModel(P, Bm)
+    return BlockModel(np.bincount(g, weights=m.p), Bm)
 
 
 def _merge_value(m: BlockModel, merged: BlockModel, assign, p: float) -> float:
@@ -549,10 +529,14 @@ def oracle_error_step(model: BlockModel, kappa: float, p: float,
                       budget: SearchBudget = SearchBudget()) -> tuple[float, BlockModel]:
     """Upper bound on the best block-model approximation error at block floor kappa.
 
-    Searches merge patterns of the source blocks (exhaustively for k <= 8,
-    greedy merging plus local swaps above) and scores each candidate with the
-    coupling induced by the merge. Exact zero with the model itself as the
-    certificate whenever the model already satisfies the floor.
+    Searches merge patterns of the source blocks and scores each candidate
+    with the coupling induced by the merge. For k <= 8 every merge pattern is
+    tried. Above that the candidates are one greedy merge (repeatedly join the
+    lightest too-light group with the lightest other group) and
+    budget.iterations variants of it, each moving one random block of the
+    greedy merge to a random group; the search never moves away from the
+    greedy merge. Exact zero with the model itself as the certificate
+    whenever the model already satisfies the floor.
     """
     if not 0.0 < kappa <= 1.0:
         raise ParameterError("kappa must lie in (0,1]")
@@ -572,56 +556,33 @@ def oracle_error_step(model: BlockModel, kappa: float, p: float,
             best_cert = merged
 
     if model.k <= 8:
-        for assign in _set_partitions(model.k):
+        for assign in feasible_partitions(model.k, 1, model.k):
             consider(assign)
     else:
-        # greedy pairwise merging of infeasible (too small) groups, then local swaps
-        assign = list(range(model.k))
-        masses = model.p.copy()
-
-        def group_masses(a):
-            r = max(a) + 1
-            out = np.zeros(r)
-            np.add.at(out, a, model.p)
-            return out
-
+        # greedy pairwise merging of infeasible (too small) groups
+        assign = np.arange(model.k)
         while True:
-            gm = group_masses(assign)
-            small = [g for g in range(gm.size) if gm[g] < kappa]
-            if not small or gm.size == 1:
+            gm = np.bincount(assign, weights=model.p)
+            small = np.flatnonzero(gm < kappa)
+            if small.size == 0 or gm.size == 1:
                 break
-            g0 = min(small, key=lambda g: gm[g])
-            others = [g for g in range(gm.size) if g != g0]
-            g1 = min(others, key=lambda g: gm[g])
-            assign = [g0 if a == g1 else a for a in assign]
-            assign = _canonical_assign(assign)
+            g0 = small[np.argmin(gm[small])]
+            g1 = np.argmin(np.where(np.arange(gm.size) == g0, np.inf, gm))
+            assign = canonical_labels(np.where(assign == g1, g0, assign))
         consider(assign)
         rng = substream(0, "oracle_swaps")
         for _ in range(budget.iterations):
             i = int(rng.integers(model.k))
-            r = max(assign) + 1
-            g_new = int(rng.integers(r))
-            cand = list(assign)
-            cand[i] = g_new
-            cand = _canonical_assign(cand)
-            consider(cand)
+            cand = assign.copy()
+            cand[i] = int(rng.integers(assign.max() + 1))
+            consider(canonical_labels(cand))
     if best_cert is None:
         # merging everything into one block is always feasible for kappa <= 1
-        assign = [0] * model.k
+        assign = np.zeros(model.k, dtype=int)
         merged = _merge_model(model, assign)
         best_val = _merge_value(model, merged, assign, p)
         best_cert = merged
     return best_val, best_cert
-
-
-def _canonical_assign(assign) -> list[int]:
-    seen: dict[int, int] = {}
-    out = []
-    for a in assign:
-        if a not in seen:
-            seen[a] = len(seen)
-        out.append(seen[a])
-    return out
 
 
 def round_to_grid(model: BlockModel, n: int, kappa: float) -> BlockModel:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .common import (
     DegenerateError,
-    Estimate,
     ParameterError,
     SearchBudget,
     SizeError,
@@ -29,6 +28,8 @@ from .sampling import as_matrix
 CUT_EXACT_MAX_N = 24
 PERM_EXACT_MAX_N = 9
 _CHUNK = 1 << 16
+_CELL_GAUSS_ORDER = 8      # Gauss-Legendre nodes per cell axis
+_IPF_ITERS = 500
 
 
 def matrix_lp(A, p: float) -> float:
@@ -143,11 +144,11 @@ def _apply_perm(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return m[np.ix_(s, s)]
 
 
-def _degree_sorted_alignment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _degree_sorted_alignment(deg_a: np.ndarray, deg_b: np.ndarray) -> np.ndarray:
     """Permutation mapping degree-ranked vertices of A onto those of B."""
-    n = a.shape[0]
-    order_a = np.lexsort((np.arange(n), a.sum(axis=1)))
-    order_b = np.lexsort((np.arange(n), b.sum(axis=1)))
+    n = deg_a.size
+    order_a = np.lexsort((np.arange(n), deg_a))
+    order_b = np.lexsort((np.arange(n), deg_b))
     s = np.empty(n, dtype=int)
     s[order_b] = order_a
     return s
@@ -217,7 +218,7 @@ def hat_delta_p(A, B, p: float, mode: str = "exact",
         return matrix_lp(_apply_perm(a, s) - b, p)
 
     return _perm_search(objective, n, mode, budget, seed,
-                        init=_degree_sorted_alignment(a, b))
+                        init=_degree_sorted_alignment(a.sum(axis=1), b.sum(axis=1)))
 
 
 def hat_delta_cut(A, B, mode: str = "exact",
@@ -240,11 +241,11 @@ def hat_delta_cut(A, B, mode: str = "exact",
         objective = lambda s: cut_norm(_apply_perm(a, s) - b, inner_budget, seed)
 
     return _perm_search(objective, n, mode, budget, seed,
-                        init=_degree_sorted_alignment(a, b))
+                        init=_degree_sorted_alignment(a.sum(axis=1), b.sum(axis=1)))
 
 
-def _cell_integral_tables(W: Graphon, n: int, p: float, values: np.ndarray,
-                          gauss_order: int = 8) -> dict[float, np.ndarray]:
+def _cell_integral_tables(W: Graphon, n: int, p: float,
+                          values: np.ndarray) -> dict[float, np.ndarray]:
     """For each candidate matrix value v, the n x n table of cell integrals
     of |v - W|^p over the 1/n-grid cells (already carrying the 1/n^2 weight)."""
     tables: dict[float, np.ndarray] = {}
@@ -262,13 +263,13 @@ def _cell_integral_tables(W: Graphon, n: int, p: float, values: np.ndarray,
             np.add.at(tab, (ci, cj), np.abs(v - wvals) ** p * area)
             tables[float(v)] = tab
         return tables
-    nodes, wts = np.polynomial.legendre.leggauss(gauss_order)
+    g = _CELL_GAUSS_ORDER
+    nodes, wts = np.polynomial.legendre.leggauss(g)
     # per-cell Gauss nodes on the whole grid at once
     offs = (nodes + 1) / (2 * n)
     xs = (np.arange(n)[:, None] / n + offs[None, :]).ravel()  # n*g points
     wv = W.pair_eval(xs, xs)
     for v in values:
-        g = gauss_order
         cellvals = np.abs(v - wv).reshape(n, g, n, g) ** p
         tab = np.einsum("agbh,g,h->ab", cellvals, wts / 2, wts / 2) / n**2
         tables[float(v)] = tab
@@ -296,11 +297,8 @@ def hat_delta_p_vs_graphon(A, W: Graphon, p: float, mode: str = "exact",
     # degree-sorted init: align A's degree order with the graphon's degree order
     dW = np.array([float(W.pair_eval([x], np.linspace(0, 1, 129)).mean())
                    for x in (np.arange(n) + 0.5) / n])
-    order_a = np.lexsort((np.arange(n), a.sum(axis=1)))
-    order_w = np.lexsort((np.arange(n), dW))
-    init = np.empty(n, dtype=int)
-    init[order_w] = order_a
-    return _perm_search(objective, n, mode, budget, seed, init=init)
+    return _perm_search(objective, n, mode, budget, seed,
+                        init=_degree_sorted_alignment(a.sum(axis=1), dW))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +329,6 @@ class Coupling:
         object.__setattr__(self, "col_masses", q)
 
 
-def _coupling_objective(nu: np.ndarray, B1: np.ndarray, B2: np.ndarray, p: float) -> float:
-    diff = np.abs(B1[:, None, :, None] - B2[None, :, None, :]) ** p
-    return float(np.einsum("ik,jl,ikjl->", nu, nu, diff))
-
-
 def _greedy_plan(p: np.ndarray, q: np.ndarray, order_p, order_q) -> np.ndarray:
     """Northwest-corner transport plan along the given block orders; exactly feasible."""
     nu = np.zeros((p.size, q.size))
@@ -358,11 +351,10 @@ def _greedy_plan(p: np.ndarray, q: np.ndarray, order_p, order_q) -> np.ndarray:
     return nu
 
 
-def _repair_marginals(nu: np.ndarray, p: np.ndarray, q: np.ndarray,
-                      iters: int = 500) -> np.ndarray | None:
+def _repair_marginals(nu: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     """Clip to the orthant and IPF-scale back to the prescribed marginals."""
     x = np.maximum(nu, 0.0) + 1e-12 * np.outer(p, q)
-    for _ in range(iters):
+    for _ in range(_IPF_ITERS):
         x *= (p / np.maximum(x.sum(axis=1), 1e-300))[:, None]
         x *= (q / np.maximum(x.sum(axis=0), 1e-300))[None, :]
     if np.max(np.abs(x.sum(axis=1) - p)) > 1e-10 or np.max(np.abs(x.sum(axis=0) - q)) > 1e-10:
@@ -411,17 +403,11 @@ def delta_p_step(W1: BlockModel, W2: BlockModel, p: float,
     def grad(x):
         return 2.0 * (M @ x)
 
-    cons = []
-    for i in range(k1):
-        row = np.zeros(k1 * k2)
-        row[i * k2:(i + 1) * k2] = 1.0
-        cons.append((row, p1[i]))
-    for j in range(k2 - 1):
-        col = np.zeros(k1 * k2)
-        col[j::k2] = 1.0
-        cons.append((col, p2[j]))
-    A_eq = np.array([c[0] for c in cons])
-    b_eq = np.array([c[1] for c in cons])
+    # row sums of nu give p1, all but the last column sum give p2 (the last
+    # one is implied)
+    A_eq = np.vstack([np.kron(np.eye(k1), np.ones(k2)),
+                      np.kron(np.ones(k1), np.eye(k2))[:-1]])
+    b_eq = np.concatenate([p1, p2[:-1]])
 
     polished: list[np.ndarray] = []
     for start in candidates[: budget.restarts + 8]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DegenerateError, ParameterError, substream
+from .common import ParameterError, substream
 from .graphon import Graphon
 
 # Fixed row-block size for edge-uniform generation; part of the seeding
@@ -97,14 +97,31 @@ def build_q(W: Graphon, latent, rho: float) -> SymMatrix:
     return SymMatrix(Q, "probability")
 
 
-def _edge_blocks(n: int):
-    for r0 in range(0, n, EDGE_BLOCK):
-        yield r0, min(r0 + EDGE_BLOCK, n)
+def _upper_edge_blocks(n: int, seed: int, prob_rows):
+    """Yield (r0, r1, upper) for each EDGE_BLOCK-row block: the draws U < P of
+    rows r0..r1-1, with U from substream (seed, "edges", block index) and
+    P = prob_rows(r0, r1), kept on the strict upper triangle only.
+
+    P is built before U and both die with the comparison, so at most two
+    blocks of floats are alive at once.
+    """
+    for b, r0 in enumerate(range(0, n, EDGE_BLOCK)):
+        r1 = min(r0 + EDGE_BLOCK, n)
+        upper = prob_rows(r0, r1) > substream(seed, "edges", b).random((r1 - r0, n))
+        upper &= np.arange(n)[None, :] > np.arange(r0, r1)[:, None]
+        yield r0, r1, upper
 
 
-def _block_uniforms(n: int, seed: int, block_index: int, r0: int, r1: int) -> np.ndarray:
-    rng = substream(seed, "edges", block_index)
-    return rng.random((r1 - r0, n))
+def _adjacency(n: int, seed: int, prob_rows) -> SymMatrix:
+    A = np.zeros((n, n), dtype=np.uint8)
+    for r0, r1, upper in _upper_edge_blocks(n, seed, prob_rows):
+        A[r0:r1] = upper
+    return SymMatrix(A | A.T, "adjacency")
+
+
+def _graphon_rows(W: Graphon, x: np.ndarray, rho: float):
+    """Probability rows min(1, rho * W(x_i, x_j)) evaluated one block at a time."""
+    return lambda r0, r1: np.minimum(1.0, rho * W.pair_eval(x[r0:r1], x))
 
 
 def bernoulli_graph(Q, seed: int) -> SymMatrix:
@@ -112,18 +129,7 @@ def bernoulli_graph(Q, seed: int) -> SymMatrix:
     Qm = as_matrix(Q)
     if np.any(Qm < 0) or np.any(Qm > 1):
         raise ParameterError("entries must be probabilities")
-    n = Qm.shape[0]
-    A = np.zeros((n, n), dtype=np.uint8)
-    for b, (r0, r1) in enumerate(_edge_blocks(n)):
-        U = _block_uniforms(n, seed, b, r0, r1)
-        blk = (U < Qm[r0:r1]).astype(np.uint8)
-        # keep only the strict upper triangle of this row block
-        cols = np.arange(n)[None, :]
-        rows = np.arange(r0, r1)[:, None]
-        blk[cols <= rows] = 0
-        A[r0:r1] = blk
-    A = A | A.T
-    return SymMatrix(A, "adjacency")
+    return _adjacency(Qm.shape[0], seed, lambda r0, r1: Qm[r0:r1])
 
 
 def generate_sample(W: Graphon, n: int, rho: float, seed: int, with_q: bool = True) -> Sample:
@@ -135,33 +141,18 @@ def generate_sample(W: Graphon, n: int, rho: float, seed: int, with_q: bool = Tr
     x = sample_latent(W, n, seed)
     if not 0.0 < rho <= 1.0:
         raise ParameterError("rho must lie in (0,1]")
-    A = np.zeros((n, n), dtype=np.uint8)
-    for b, (r0, r1) in enumerate(_edge_blocks(n)):
-        Qblk = np.minimum(1.0, rho * W.pair_eval(x[r0:r1], x))
-        U = _block_uniforms(n, seed, b, r0, r1)
-        blk = (U < Qblk).astype(np.uint8)
-        cols = np.arange(n)[None, :]
-        rows = np.arange(r0, r1)[:, None]
-        blk[cols <= rows] = 0
-        A[r0:r1] = blk
-    A = A | A.T
+    G = _adjacency(n, seed, _graphon_rows(W, x, rho))
     Q = build_q(W, x, rho) if with_q else None
-    return Sample(latent=x, Q=Q, G=SymMatrix(A, "adjacency"), rho_target=rho, seed=seed)
+    return Sample(latent=x, Q=Q, G=G, rho_target=rho, seed=seed)
 
 
 def sample_degrees(W: Graphon, n: int, rho: float, seed: int) -> np.ndarray:
     """Degree sequence of the same graph generate_sample would draw, without storing it."""
     x = sample_latent(W, n, seed)
     deg = np.zeros(n, dtype=np.int64)
-    for b, (r0, r1) in enumerate(_edge_blocks(n)):
-        Qblk = np.minimum(1.0, rho * W.pair_eval(x[r0:r1], x))
-        U = _block_uniforms(n, seed, b, r0, r1)
-        blk = U < Qblk
-        cols = np.arange(n)[None, :]
-        rows = np.arange(r0, r1)[:, None]
-        blk &= cols > rows
-        deg[r0:r1] += blk.sum(axis=1)
-        deg += blk.sum(axis=0)
+    for r0, r1, upper in _upper_edge_blocks(n, seed, _graphon_rows(W, x, rho)):
+        deg[r0:r1] += upper.sum(axis=1)
+        deg += upper.sum(axis=0)
     return deg
 
 
@@ -209,11 +200,14 @@ def read_matrix(path: str) -> SymMatrix:
             n = int(first.split()[1])
             m = np.zeros((n, n))
             is_adj = True
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
                 if not parts:
                     continue
                 i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ParameterError(
+                        f"{path}:{lineno}: vertex index outside 1..{n}: {line.strip()!r}")
                 if len(parts) == 3:
                     is_adj = False
                     v = float(parts[2])

@@ -71,6 +71,15 @@ class TestExitCodes:
         assert code == 3
         assert "9" in err  # message names the exact-mode threshold
 
+    @pytest.mark.parametrize("pair", ["0 2", "1 7"])
+    def test_vertex_index_out_of_range_is_exit_2(self, capsys, tmp_path, pair):
+        bad = tmp_path / "bad.ssm"
+        bad.write_text(f"n 4\n1 2\n{pair}\n")
+        code, _, err = run_cli(capsys, "estimate", "--algo", "degsort", "--k", "2",
+                               "--in", str(bad))
+        assert code == 2
+        assert "bad.ssm:3" in err
+
     def test_numeric_error_is_exit_4(self, capsys, tmp_path):
         spec = tmp_path / "pl.json"
         spec.write_text(json.dumps({"kind": "power_law_sum", "alpha": 0.5}))
@@ -238,3 +247,16 @@ class TestExperimentCommand:
         assert (out_dir / "trials.csv").exists()
         assert (out_dir / "summary.csv").exists()
         assert (out_dir / "summary.txt").exists()
+
+    def test_bad_config_keys_are_exit_2(self, capsys, tmp_path, graphon_spec):
+        base = {"kind": "consistency", "graphon": json.loads(open(graphon_spec).read()),
+                "ns": [16], "seeds": [1], "density": {"kind": "constant", "c": 0.2}}
+        cfg_path = tmp_path / "exp.json"
+        for doc, key in (({k: v for k, v in base.items() if k != "ns"}, "ns"),
+                         (dict(base, algoritm="least_squares", kapa=0.25), "algoritm")):
+            cfg_path.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "results"))
+            assert code == 2
+            assert key in err
+        assert not (tmp_path / "results").exists()

@@ -72,6 +72,16 @@ class TestConfig:
         cfg2 = ExperimentConfig.from_json(doc)
         assert cfg2.to_json() == cfg.to_json()
 
+    def test_from_json_rejects_missing_and_unknown_keys(self):
+        doc = small_config().to_json()
+        for key in ("graphon", "ns", "seeds"):
+            with pytest.raises(ParameterError, match=key):
+                ExperimentConfig.from_json({k: v for k, v in doc.items() if k != key})
+        with pytest.raises(ParameterError, match="kapa"):
+            ExperimentConfig.from_json(dict(doc, kapa=0.25))
+        # the CLI's experiment kind may ride along
+        assert ExperimentConfig.from_json(dict(doc, kind="consistency")).to_json() == doc
+
 
 class TestStepMatrixVsGraphon:
     def test_cell_means_are_l2_optimal(self):

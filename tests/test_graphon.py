@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import feasible_assignments
 from graphon_kit import (
     BlockModel,
     DegenerateError,
@@ -224,6 +225,27 @@ class TestOracleError:
         m = BlockModel([0.2, 0.3, 0.5], [[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
         vals = [oracle_error_step(m, kap, 1, SearchBudget())[0] for kap in (0.6, 0.4, 0.2)]
         assert vals[0] >= vals[1] >= vals[2]
+
+    def test_greedy_path_above_k8(self):
+        rng = np.random.default_rng(21)
+        p = rng.random(9) + 0.05
+        p /= p.sum()
+        B = rng.random((9, 9)) * 3.0
+        m = BlockModel(p, (B + B.T) / 2.0)
+        kappa, q = 0.2, 1.0
+        val, cert = oracle_error_step(m, kappa, q)
+        assert cert.p.min() >= kappa - 1e-12
+        # exhaustive minimum over every merge pattern that meets the floor
+        w = np.outer(m.p, m.p)
+        best = np.inf
+        for g in feasible_assignments(9, 1, 9):
+            Z = np.eye(g.max() + 1)[g]
+            if (m.p @ Z).min() < kappa - 1e-12:
+                continue
+            merged = (Z.T @ (w * m.B) @ Z) / (Z.T @ w @ Z)
+            best = min(best, float((w * np.abs(m.B - merged[np.ix_(g, g)]) ** q).sum()) ** (1 / q))
+        assert val >= best - 1e-12
+        assert oracle_error_step(m, kappa, q)[0] == val
 
 
 class TestRoundToGrid:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from graphon_kit import (
+    BlockModel,
     MixedMembership,
     PowerLawSum,
+    StepGraphon,
     bernoulli_graph,
     build_h,
     build_q,
@@ -19,7 +21,7 @@ from graphon_kit import (
     write_dense,
     write_ssm,
 )
-from graphon_kit.sampling import as_matrix
+from graphon_kit.sampling import EDGE_BLOCK, as_matrix
 
 
 class TestSampleLatent:
@@ -158,10 +160,16 @@ class TestGenerateSample:
         assert np.array_equal(a.latent, b)
 
     def test_sample_degrees_matches_full_sample(self):
-        w = named_graphon("quadratic_xy")
-        d = sample_degrees(w, 50, rho=0.3, seed=14)
-        s = generate_sample(w, 50, rho=0.3, seed=14)
-        assert np.array_equal(d, as_matrix(s.G).sum(axis=1))
+        step = StepGraphon(BlockModel([0.3, 0.7], [[2.0, 0.5], [0.5, 1.0]]))
+        # EDGE_BLOCK + 52 vertices take uniforms from two row blocks
+        for w in (named_graphon("quadratic_xy"), step):
+            for n in (50, EDGE_BLOCK + 52):
+                d = sample_degrees(w, n, rho=0.3, seed=14)
+                s = generate_sample(w, n, rho=0.3, seed=14)
+                assert np.array_equal(d, as_matrix(s.G).sum(axis=1))
+        # a step kernel evaluates bit-identically in both argument orders, so
+        # drawing from the materialized Q reproduces the same graph
+        assert np.array_equal(as_matrix(bernoulli_graph(s.Q, 14)), as_matrix(s.G))
 
 
 class TestFileFormats:
