@@ -82,17 +82,18 @@ def block_average(A, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
     Diagonal cells average over the full block including the zero diagonal;
     blocks with an empty side average to 0.
     """
-    a = as_matrix(A)
-    k = pi.k
+    B = _block_means(as_matrix(A), pi.assign, pi.k)
+    return B, B[np.ix_(pi.assign, pi.assign)]
+
+
+def _block_means(a: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     Z = np.zeros((a.shape[0], k))
-    Z[np.arange(a.shape[0]), pi.assign] = 1.0
+    Z[np.arange(a.shape[0]), assign] = 1.0
     sums = Z.T @ a @ Z
-    sizes = pi.sizes().astype(float)
+    sizes = np.bincount(assign, minlength=k).astype(float)
     denom = np.outer(sizes, sizes)
     with np.errstate(invalid="ignore", divide="ignore"):
-        B = np.where(denom > 0, sums / denom, 0.0)
-    lifted = B[np.ix_(pi.assign, pi.assign)]
-    return B, lifted
+        return np.where(denom > 0, sums / denom, 0.0)
 
 
 def _result_from_partition(A, pi: Partition, objective: float, mode: str,
@@ -162,7 +163,12 @@ def least_cut_exact(A, kappa: float) -> EstimationResult:
 def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) -> np.ndarray:
     """Restore the class-size floor: move lowest-cost vertices into short
     classes while donors exist, otherwise dissolve the smallest short class.
-    Gives up (accepting the best feasible point) after 2n moves."""
+    Gives up (accepting the best feasible point) after 2n moves.
+
+    Each move takes one vectorized pass over the donor rows: the cost of
+    moving v is the squared-residual increase of row v against the current
+    block averages, and the first vertex that beats every earlier one by
+    more than 1e-15 moves."""
     n = a.shape[0]
     assign = assign.copy()
     for _ in range(2 * n):
@@ -171,10 +177,9 @@ def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) 
         if not short:
             break
         target = min(short, key=lambda c: sizes[c])
-        donors = np.flatnonzero(sizes > min_size)
-        pi = Partition(assign, k)
-        B, lifted = block_average(a, pi)
-        if donors.size == 0:
+        B = _block_means(a, assign, k)
+        rows = np.flatnonzero(sizes[assign] > min_size)
+        if rows.size == 0:
             # no class can give a vertex away: dissolve the smallest short
             # class, sending each member to its best-fitting other class
             ok = np.flatnonzero((sizes >= min_size) & (np.arange(k) != target))
@@ -183,17 +188,13 @@ def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) 
             if ok.size == 0:
                 break
             for v in np.flatnonzero(assign == target):
-                costs = [float(((a[v] - B[c, assign]) ** 2).sum()) for c in ok]
+                costs = ((a[v] - B[ok][:, assign]) ** 2).sum(axis=1)
                 assign[v] = int(ok[int(np.argmin(costs))])
             continue
-        # cost of moving v to the short class: squared-residual increase of row v
+        cur = ((a[rows] - B[assign[rows]][:, assign]) ** 2).sum(axis=1)
+        new = ((a[rows] - B[target, assign]) ** 2).sum(axis=1)
         best_v, best_cost = -1, math.inf
-        for v in range(n):
-            if assign[v] not in donors:
-                continue
-            cur = float(((a[v] - lifted[v]) ** 2).sum())
-            new = float(((a[v] - B[target, assign]) ** 2).sum())
-            cost = new - cur
+        for v, cost in zip(rows.tolist(), (new - cur).tolist()):
             if cost < best_cost - 1e-15:
                 best_cost, best_v = cost, v
         if best_v < 0:
@@ -211,9 +212,21 @@ class _BlockSums:
     """Incremental bookkeeping for the least-squares objective.
 
     Minimizing ||A - A_pi||_2 over partitions is the same as maximizing
-    sum_{cells} S_ij^2 / (n_i n_j) where S is the matrix of block sums
-    (sum A^2 is fixed), so single-vertex moves and cross-class swaps can be
-    scored in O(k^2) without touching A.
+    score = sum_ij S_ij^2 w_i w_j, where S = Z^T A Z holds the block sums
+    and w_i = 1/n_i (0 for an empty class; sum A^2 is fixed).
+
+    Moving v from class p to q, or swapping v in p with u in q, adds
+    x y^T + y x^T to S, with x = e_q - e_p and y = g + (s/2) x, where
+    g = C[v], s = A_vv for a move and g = C[v] - C[u],
+    s = A_vv + A_uu - 2 A_uv for a swap. With w' the weights afterwards
+    (a move changes w_p and w_q by e_p and e_q; a swap changes none) the
+    score gains
+        sum_{i in p,q} e_i (S_i^2 . (w + w'))
+        + 4 ((w'_q S_q - w'_p S_p) * w') . y
+        + 2 (w'_p + w'_q) (w' . y^2) + 2 (w'_q y_q - w'_p y_p)^2,
+    which costs O(k) per candidate; all candidates for one vertex are
+    scored in one numpy expression. The running score is recomputed in
+    full after each accepted change, so it cannot drift.
     """
 
     def __init__(self, a: np.ndarray, assign: np.ndarray, k: int):
@@ -225,51 +238,69 @@ class _BlockSums:
         self.C = a @ Z                       # C[v, c] = sum of A[v, u] over u in class c
         self.S = Z.T @ a @ Z
         self.sizes = np.bincount(assign, minlength=k).astype(float)
-        self.score = self._score(self.S, self.sizes)
+        self._rescore()
 
-    @staticmethod
-    def _score(S: np.ndarray, sizes: np.ndarray) -> float:
-        denom = np.outer(sizes, sizes)
+    def _rescore(self) -> None:
+        denom = np.outer(self.sizes, self.sizes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.where(denom > 0, S * S / denom, 0.0).sum())
+            self.score = float(np.where(denom > 0, self.S * self.S / denom, 0.0).sum())
+            self.w = np.where(self.sizes > 0, 1.0 / self.sizes, 0.0)
 
-    @staticmethod
-    def _moved(S: np.ndarray, row: np.ndarray, c: int, d: int) -> np.ndarray:
-        S2 = S.copy()
-        S2[c, :] -= row
-        S2[:, c] -= row
-        S2[d, :] += row
-        S2[:, d] += row
-        return S2
+    def _gains(self, p: int, q: np.ndarray, y: np.ndarray,
+               w2: np.ndarray | None = None) -> np.ndarray:
+        """Score change per candidate t when S gains x y[t]^T + y[t] x^T,
+        x = e_q[t] - e_p; w2[t] holds the weights afterwards (None: unchanged)."""
+        S, w, t = self.S, self.w, np.arange(q.size)
+        if w2 is None:
+            w2, w2_p, w2_q, resized = w, w[p], w[q], 0.0
+        else:
+            w2_p, w2_q = w2[:, p], w2[t, q]
+            ws = w + w2
+            resized = ((w2_p - w[p]) * (S[p] ** 2 * ws).sum(axis=1)
+                       + (w2_q - w[q]) * (S[q] ** 2 * ws).sum(axis=1))
+        return (resized
+                + 4.0 * ((S[q] * w2_q[:, None] - np.outer(w2_p, S[p])) * w2 * y).sum(axis=1)
+                + 2.0 * (w2_p + w2_q) * (y * y * w2).sum(axis=1)
+                + 2.0 * (w2_q * y[t, q] - w2_p * y[:, p]) ** 2)
 
-    def move_score(self, v: int, d: int) -> float:
-        c = self.assign[v]
-        S2 = self._moved(self.S, self.C[v], c, d)
-        sz2 = self.sizes.copy()
-        sz2[c] -= 1
-        sz2[d] += 1
-        return self._score(S2, sz2)
+    def move_gains(self, v: int, ds: np.ndarray) -> np.ndarray:
+        """Score change of moving v to each class in ds."""
+        c, t = self.assign[v], np.arange(ds.size)
+        y = np.repeat(self.C[v][None, :], ds.size, axis=0)
+        y[:, c] -= 0.5 * self.a[v, v]
+        y[t, ds] += 0.5 * self.a[v, v]
+        w2 = np.repeat(self.w[None, :], ds.size, axis=0)
+        w2[:, c] = 1.0 / (self.sizes[c] - 1) if self.sizes[c] > 1 else 0.0
+        w2[t, ds] = 1.0 / (self.sizes[ds] + 1)
+        return self._gains(c, ds, y, w2)
 
-    def swap_score(self, v: int, u: int) -> float:
-        """Score after exchanging the classes of v and u (sizes unchanged)."""
-        a_cls, b_cls = self.assign[v], self.assign[u]
-        S2 = self._moved(self.S, self.C[v], a_cls, b_cls)
-        row_u = self.C[u].copy()
-        e = self.a[u, v]
-        row_u[a_cls] -= e                    # v already left a_cls
-        row_u[b_cls] += e
-        S3 = self._moved(S2, row_u, b_cls, a_cls)
-        return self._score(S3, self.sizes)
+    def swap_gains(self, v: int, us: np.ndarray) -> np.ndarray:
+        """Score change of exchanging the classes of v and each u in us
+        (all in other classes than v; sizes unchanged)."""
+        a, p, q = self.a, self.assign[v], self.assign[us]
+        y = self.C[v] - self.C[us]
+        h = 0.5 * (a[v, v] + a[us, us]) - a[us, v]
+        y[:, p] -= h
+        y[np.arange(us.size), q] += h
+        return self._gains(p, q, y)
 
     def apply_move(self, v: int, d: int) -> None:
         c = self.assign[v]
-        self.S = self._moved(self.S, self.C[v], c, d)
+        row, S = self.C[v], self.S
+        S[c, :] -= row
+        S[:, c] -= row
+        S[d, :] += row
+        S[:, d] += row
+        x = np.zeros(self.k)                 # S also gains A_vv x x^T, x = e_d - e_c
+        x[d] += 1.0
+        x[c] -= 1.0
+        S += self.a[v, v] * np.outer(x, x)
         self.sizes[c] -= 1
         self.sizes[d] += 1
         self.assign[v] = d
         self.C[:, c] -= self.a[:, v]
         self.C[:, d] += self.a[:, v]
-        self.score = self._score(self.S, self.sizes)
+        self._rescore()
 
     def apply_swap(self, v: int, u: int) -> None:
         a_cls, b_cls = self.assign[v], self.assign[u]
@@ -282,21 +313,26 @@ def _polish(a: np.ndarray, assign: np.ndarray, k: int, min_size: int,
     """Greedy exact-objective descent: single moves (size-floor preserving)
     plus cross-class swaps, until a local optimum under both move sets.
 
+    A move takes v's best target class, scanning classes in order and
+    keeping a class only if it beats the best so far by 1e-10. A swap sweep
+    takes, for each v, the first candidate u that improves the score by
+    1e-10, then goes on with the candidates after u against the new state.
     Swap sweeps scan the full neighborhood at small n and a seeded random
-    subset above _FULL_SWAP_MAX_N (cost grows quadratically)."""
+    subset of _SWAP_SAMPLE vertices per v above _FULL_SWAP_MAX_N. All of a
+    vertex's candidates are scored at once from _BlockSums gains, and each
+    is compared as score + gain against score + 1e-10."""
     st = _BlockSums(a, assign, k)
     n = a.shape[0]
+    classes = np.arange(k)
     for _ in range(_POLISH_MAX_SWEEPS):
         improved = False
         for v in rng.permutation(n):
             c = st.assign[v]
             if not (st.sizes[c] - 1 >= min_size or st.sizes[c] == 1):
                 continue
+            ds = np.flatnonzero((classes != c) & (st.sizes + 1 >= min_size))
             best_d, best_score = -1, st.score
-            for d in range(k):
-                if d == c or st.sizes[d] + 1 < min_size:
-                    continue
-                sc = st.move_score(v, d)
+            for d, sc in zip(ds.tolist(), (st.score + st.move_gains(v, ds)).tolist()):
                 if sc > best_score + 1e-10:
                     best_d, best_score = d, sc
             if best_d >= 0:
@@ -307,12 +343,17 @@ def _polish(a: np.ndarray, assign: np.ndarray, k: int, min_size: int,
                 cands = np.arange(n)
             else:
                 cands = rng.permutation(n)[:_SWAP_SAMPLE]
-            for u in cands:
-                if st.assign[u] == st.assign[v]:
-                    continue
-                if st.swap_score(v, u) > st.score + 1e-10:
-                    st.apply_swap(v, u)
-                    improved = True
+            while True:
+                # class membership is read against the current state, so a
+                # vertex skipped before a swap can qualify after it
+                us = cands[st.assign[cands] != st.assign[v]]
+                hit = np.flatnonzero(st.score + st.swap_gains(v, us) > st.score + 1e-10)
+                if hit.size == 0:
+                    break
+                u = us[hit[0]]
+                st.apply_swap(v, u)
+                improved = True
+                cands = cands[np.flatnonzero(cands == u)[0] + 1:]
         if not improved:
             break
     return st.assign

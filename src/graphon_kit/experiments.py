@@ -103,11 +103,13 @@ class ExperimentConfig:
         if unknown:
             raise ParameterError(f"experiment config has unknown key(s) {unknown}")
         d = doc.get("density", {})
+        unknown = sorted(set(d) - {f.name for f in fields(DensityRule)})
+        if unknown:
+            raise ParameterError(f"experiment config density has unknown key(s) {unknown}")
         return cls(
             graphon=graphon_from_json(doc["graphon"]),
             ns=tuple(doc["ns"]),
-            density=DensityRule(d.get("kind", "power"), d.get("c", 1.0),
-                                d.get("gamma", 0.5)),
+            density=DensityRule(**d),
             seeds=tuple(doc["seeds"]),
             algorithm=doc.get("algorithm", "degree_sorting"),
             mode=doc.get("mode", "search"),

@@ -29,6 +29,7 @@ CUT_EXACT_MAX_N = 24
 PERM_EXACT_MAX_N = 9
 _CHUNK = 1 << 16
 _CELL_GAUSS_ORDER = 8      # Gauss-Legendre nodes per cell axis
+_CELL_TABLES_MAX_BYTES = 1 << 28   # one n x n float64 table per distinct matrix value
 _IPF_ITERS = 500
 
 
@@ -284,6 +285,12 @@ def hat_delta_p_vs_graphon(A, W: Graphon, p: float, mode: str = "exact",
     a = as_matrix(A)
     n = a.shape[0]
     values = np.unique(a)
+    need = values.size * n * n * 8
+    if need > _CELL_TABLES_MAX_BYTES:
+        raise SizeError(
+            f"lp-vs-graphon needs one {n}x{n} table per distinct matrix value "
+            f"({values.size} values, {need / 2**20:.0f} MiB); gated at "
+            f"{_CELL_TABLES_MAX_BYTES / 2**20:.0f} MiB")
     tables = _cell_integral_tables(W, n, p, values)
     stacked = np.stack([tables[float(v)] for v in values])
     index_of = {float(v): i for i, v in enumerate(values)}

@@ -197,22 +197,31 @@ def read_matrix(path: str) -> SymMatrix:
     with open(path) as fh:
         first = fh.readline()
         if first.startswith("n "):
-            n = int(first.split()[1])
+            try:
+                n = int(first.split()[1])
+            except (IndexError, ValueError):
+                raise ParameterError(
+                    f"{path}:1: expected 'n <count>': {first.strip()!r}") from None
             m = np.zeros((n, n))
             is_adj = True
             for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
                 if not parts:
                     continue
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                if len(parts) not in (2, 3):
+                    raise ParameterError(
+                        f"{path}:{lineno}: expected 'i j' or 'i j value': {line.strip()!r}")
+                try:
+                    i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                    v = float(parts[2]) if len(parts) == 3 else 1.0
+                except ValueError:
+                    raise ParameterError(
+                        f"{path}:{lineno}: not a number: {line.strip()!r}") from None
                 if not (0 <= i < n and 0 <= j < n):
                     raise ParameterError(
                         f"{path}:{lineno}: vertex index outside 1..{n}: {line.strip()!r}")
                 if len(parts) == 3:
                     is_adj = False
-                    v = float(parts[2])
-                else:
-                    v = 1.0
                 m[i, j] = m[j, i] = v
             if is_adj:
                 return SymMatrix(m.astype(np.uint8), "adjacency")

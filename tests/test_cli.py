@@ -71,7 +71,7 @@ class TestExitCodes:
         assert code == 3
         assert "9" in err  # message names the exact-mode threshold
 
-    @pytest.mark.parametrize("pair", ["0 2", "1 7"])
+    @pytest.mark.parametrize("pair", ["0 2", "1 7", "1 x", "3", "1 2 0.5 9"])
     def test_vertex_index_out_of_range_is_exit_2(self, capsys, tmp_path, pair):
         bad = tmp_path / "bad.ssm"
         bad.write_text(f"n 4\n1 2\n{pair}\n")

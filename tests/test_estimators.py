@@ -7,6 +7,7 @@ from conftest import (
     ls_objective_brute,
     sym_matrix,
 )
+from graphon_kit import estimators
 from graphon_kit import (
     DegenerateError,
     ParameterError,
@@ -154,6 +155,119 @@ class TestLeastSquaresSearch:
         r2 = least_squares_search(a, 0.2, restarts=8, seed=5)
         assert r1.objective == r2.objective
         assert np.array_equal(r1.partition.assign, r2.partition.assign)
+
+
+def ls_score_brute(a, assign, k):
+    """The score least squares maximizes: sum A^2 - n^2 ||A - A_pi||_2^2."""
+    n = a.shape[0]
+    return float((a * a).sum() - n * n * ls_objective_brute(a, assign, k) ** 2)
+
+
+def polish_brute(a, assign, k, min_size, rng):
+    """The move/swap descent of estimators._polish as a plain sequential loop
+    that scores every candidate from scratch (same rng draws, same order)."""
+    n = a.shape[0]
+    assign = assign.copy()
+    score = ls_score_brute(a, assign, k)
+    for _ in range(estimators._POLISH_MAX_SWEEPS):
+        improved = False
+        for v in rng.permutation(n):
+            sizes = np.bincount(assign, minlength=k)
+            c = assign[v]
+            if not (sizes[c] - 1 >= min_size or sizes[c] == 1):
+                continue
+            best_d, best = -1, score
+            for d in range(k):
+                if d == c or sizes[d] + 1 < min_size:
+                    continue
+                moved = assign.copy()
+                moved[v] = d
+                sc = ls_score_brute(a, moved, k)
+                if sc > best + 1e-10:
+                    best_d, best = d, sc
+            if best_d >= 0:
+                assign[v], score = best_d, best
+                improved = True
+        for v in rng.permutation(n):
+            if n <= estimators._FULL_SWAP_MAX_N:
+                cands = np.arange(n)
+            else:
+                cands = rng.permutation(n)[:estimators._SWAP_SAMPLE]
+            for u in cands:
+                if assign[u] == assign[v]:
+                    continue
+                swapped = assign.copy()
+                swapped[[v, u]] = assign[[u, v]]
+                sc = ls_score_brute(a, swapped, k)
+                if sc > score + 1e-10:
+                    assign, score = swapped, sc
+                    improved = True
+        if not improved:
+            break
+    return assign
+
+
+class TestBlockSums:
+    """The incremental least-squares engine behind the local search."""
+
+    @pytest.mark.parametrize("n, kind", [(12, "adjacency"), (12, "uniform"),
+                                         (40, "adjacency"), (40, "uniform"),
+                                         (12, "diagonal")])
+    def test_gains_match_brute_score_change(self, n, kind):
+        rng = np.random.default_rng(n)
+        a = sym_matrix(rng, n, "uniform" if kind == "diagonal" else kind)
+        if kind == "diagonal":
+            a += np.diag(rng.random(n))
+        k = 5
+        assign = rng.integers(3, size=n)
+        assign[0] = 3                        # a singleton class; class 4 is empty
+        st = estimators._BlockSums(a, assign, k)
+        base = ls_score_brute(a, assign, k)
+        assert st.score == pytest.approx(base, rel=1e-12)
+        tol = 1e-9 * max(1.0, abs(base))
+        for v in [0, *rng.choice(np.arange(1, n), 5, replace=False)]:
+            ds = np.flatnonzero(np.arange(k) != assign[v])
+            for d, gain in zip(ds, st.move_gains(v, ds)):
+                moved = assign.copy()
+                moved[v] = d
+                assert gain == pytest.approx(ls_score_brute(a, moved, k) - base, abs=tol)
+            us = np.flatnonzero(assign != assign[v])
+            for u, gain in zip(us, st.swap_gains(v, us)):
+                swapped = assign.copy()
+                swapped[[v, u]] = assign[[u, v]]
+                assert gain == pytest.approx(ls_score_brute(a, swapped, k) - base, abs=tol)
+
+    def test_running_sums_exact_with_diagonal(self):
+        rng = np.random.default_rng(12)
+        n, k = 12, 4
+        a = sym_matrix(rng, n, "uniform") + np.eye(n)
+        assign = rng.integers(k, size=n)
+        st = estimators._BlockSums(a, assign, k)
+        for step in range(40):
+            v, u = rng.choice(n, 2, replace=False)
+            if step % 2 or st.assign[v] == st.assign[u]:
+                st.apply_move(v, int(rng.integers(k)))
+            else:
+                st.apply_swap(v, u)
+            z = np.eye(k)[st.assign]
+            assert np.abs(st.S - z.T @ a @ z).max() < 1e-12
+            assert np.abs(st.C - a @ z).max() < 1e-12
+            assert st.score == pytest.approx(ls_score_brute(a, st.assign, k), rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, min_size, kind", [
+        (12, 4, 1, "adjacency"),             # full swap scan; moves into empty classes
+        (12, 3, 3, "uniform"),
+        (40, 3, 6, "adjacency"),             # sampled swap candidates
+        (40, 3, 6, "uniform"),
+    ])
+    def test_polish_matches_sequential_reference(self, n, k, min_size, kind):
+        rng = np.random.default_rng(n + k)
+        a = sym_matrix(rng, n, kind)
+        for seed in range(2):
+            start = rng.permutation(np.arange(n) % (k if min_size > 1 else k - 1))
+            got = estimators._polish(a, start, k, min_size, np.random.default_rng(seed))
+            want = polish_brute(a, start, k, min_size, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLeastCutExact:

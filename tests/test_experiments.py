@@ -79,6 +79,9 @@ class TestConfig:
                 ExperimentConfig.from_json({k: v for k, v in doc.items() if k != key})
         with pytest.raises(ParameterError, match="kapa"):
             ExperimentConfig.from_json(dict(doc, kapa=0.25))
+        with pytest.raises(ParameterError, match="gama"):
+            ExperimentConfig.from_json(
+                dict(doc, density={"kind": "constant", "c": 0.2, "gama": 0.9}))
         # the CLI's experiment kind may ride along
         assert ExperimentConfig.from_json(dict(doc, kind="consistency")).to_json() == doc
 

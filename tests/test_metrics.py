@@ -181,6 +181,19 @@ class TestHatDeltaCut:
 
 
 class TestHatDeltaVsGraphon:
+    def test_table_memory_gate(self, monkeypatch):
+        # 200 x 200 with ~20000 distinct values would need ~6 GB of cell
+        # tables: the gate fires before any table is built
+        from graphon_kit import metrics
+
+        def no_tables(*args):
+            raise AssertionError("cell tables built past the size gate")
+
+        monkeypatch.setattr(metrics, "_cell_integral_tables", no_tables)
+        a = sym_matrix(np.random.default_rng(37), 200, "uniform")
+        with pytest.raises(SizeError, match="MiB"):
+            hat_delta_p_vs_graphon(a, constant_graphon(0.5), 1, mode="heuristic")
+
     def test_own_step_graphon(self):
         rng = np.random.default_rng(31)
         a = sym_matrix(rng, 4, "adjacency")
