@@ -26,8 +26,8 @@ from .experiments import ExperimentConfig, run_experiment
 from .graphon import (BlockModel, graphon_from_json, holder_rates,
                       oracle_error_step, power_law_rates, round_to_grid,
                       tail_rho)
-from .metrics import (cut_norm_exact, cut_norm_lower, degree_cdf_of_matrix,
-                      delta_p_step, hat_delta_cut, hat_delta_p,
+from .metrics import (CUT_EXACT_MAX_N, cut_norm_exact, cut_norm_lower,
+                      degree_cdf_of_matrix, delta_p_step, hat_delta_cut, hat_delta_p,
                       hat_delta_p_vs_graphon, levy_prokhorov, matrix_lp)
 from .sampling import (as_matrix, generate_sample, read_matrix, write_latent,
                        write_ssm)
@@ -162,7 +162,9 @@ def _distance_record(args):
             caveat = "upper bound (heuristic vertex alignment)"
     elif kind == "hat-cut":
         value, sigma = hat_delta_cut(A, B, mode=mode, seed=seed)
-        if mode == "heuristic":
+        if mode == "heuristic" and A.shape[0] <= CUT_EXACT_MAX_N:
+            caveat = "upper bound (heuristic vertex alignment, exact cut norms)"
+        elif mode == "heuristic":
             caveat = ("upper bound on the alignment minimum of a heuristic "
                       "cut-norm lower bound")
     else:

@@ -1,9 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from graphon_kit import graphon_to_json, named_graphon, read_matrix
+from graphon_kit import (SearchBudget, cli, graphon_to_json, hat_delta_cut, named_graphon,
+                         read_matrix)
 from graphon_kit.cli import build_parser, main
 from graphon_kit.sampling import as_matrix, write_ssm
 
@@ -165,6 +167,27 @@ class TestDistanceKinds:
         rec = json.loads(out)
         assert code == 0
         assert rec["bounds_caveat"]
+
+    @pytest.mark.parametrize("n, caveat", [
+        (8, "upper bound (heuristic vertex alignment, exact cut norms)"),
+        (30, "upper bound on the alignment minimum of a heuristic cut-norm lower bound"),
+    ])
+    def test_hat_cut_heuristic_caveat_by_size(self, capsys, monkeypatch, tmp_path,
+                                              graphon_spec, n, caveat):
+        # exact inner cut norms up to metrics.CUT_EXACT_MAX_N = 24, heuristic
+        # above; one sweep of the alignment search keeps n = 30 quick
+        monkeypatch.setattr(cli, "hat_delta_cut", functools.partial(
+            hat_delta_cut, budget=SearchBudget(restarts=1, iterations=1)))
+        paths = []
+        for seed in (1, 2):
+            g = tmp_path / f"c{seed}.ssm"
+            run_cli(capsys, "sample", "--graphon", graphon_spec, "--n", str(n),
+                    "--rho", "0.8", "--seed", str(seed), "--out", str(g))
+            paths.append(str(g))
+        code, out, _ = run_cli(capsys, "distance", "--kind", "hat-cut", "--mode", "heuristic",
+                               "--a", paths[0], "--b", paths[1])
+        assert code == 0
+        assert json.loads(out)["bounds_caveat"] == caveat
 
     def test_lp_vs_graphon(self, capsys, two_graphs, graphon_spec):
         code, out, _ = run_cli(capsys, "distance", "--kind", "lp-vs-graphon",

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,9 +29,78 @@ from graphon_kit import (
     hat_delta_p_vs_graphon,
     levy_prokhorov,
     matrix_lp,
+    named_graphon,
 )
-from graphon_kit.common import SearchBudget
+from graphon_kit import metrics
+from graphon_kit.common import SearchBudget, substream
 from graphon_kit.estimators import Partition, block_average
+
+
+def cut_norm_by_indicators(a: np.ndarray) -> float:
+    """Cut norm by multiplying the 0/1 indicator matrix of all 2^n row subsets
+    into a, O(2^n n^2): the enumeration cut_norm_exact replaced."""
+    n = a.shape[0]
+    bits = np.arange(n, dtype=np.uint64)
+    best = 0.0
+    for start in range(0, 1 << n, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint64)
+        colsums = ((masks[:, None] >> bits[None, :]) & 1).astype(float) @ a
+        pos = np.where(colsums > 0, colsums, 0.0).sum(axis=1)
+        neg = -np.where(colsums < 0, colsums, 0.0).sum(axis=1)
+        best = max(best, float(np.maximum(pos, neg).max()))
+    return best / n**2
+
+
+def full_scan_perm_search(objective, n, mode, budget, seed, init, cell=None):
+    """Heuristic swap local search that sends every transposition through
+    objective: the reference the screened search must follow step for step."""
+    assert mode == "heuristic"
+    rng = substream(seed, "perm_search")
+    best_v, best_s = math.inf, None
+
+    def local_search(s):
+        nonlocal best_v, best_s
+        s = s.copy()
+        v = objective(s)
+        for _ in range(budget.iterations):
+            improved = False
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    s[i], s[j] = s[j], s[i]
+                    v2 = objective(s)
+                    if v2 < v - 1e-15:
+                        v = v2
+                        improved = True
+                    else:
+                        s[i], s[j] = s[j], s[i]
+            if not improved:
+                break
+        if v < best_v - 1e-15:
+            best_v, best_s = v, s.copy()
+
+    local_search(init)
+    for _ in range(budget.restarts - 1):
+        local_search(rng.permutation(n))
+    return best_v, best_s
+
+
+def block_constant(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Symmetric matrix constant on the blocks of a random k-class partition,
+    so every class is a set of twins."""
+    b = sym_matrix(rng, k) + np.diag(rng.random(k))
+    z = rng.integers(k, size=n)
+    return b[np.ix_(z, z)]
+
+
+SEARCH_PAIRS = {
+    "adjacency": lambda rng, n: (sym_matrix(rng, n, "adjacency"),
+                                 sym_matrix(rng, n, "adjacency")),
+    "weighted": lambda rng, n: (sym_matrix(rng, n), sym_matrix(rng, n)),
+    "asymmetric": lambda rng, n: (rng.random((n, n)), rng.random((n, n))),
+    "diagonal": lambda rng, n: (sym_matrix(rng, n) + np.diag(rng.random(n)),
+                                sym_matrix(rng, n, "adjacency") + np.eye(n)),
+    "twins": lambda rng, n: (block_constant(rng, n, 3), sym_matrix(rng, n)),
+}
 
 
 class TestMatrixLp:
@@ -71,8 +143,25 @@ class TestCutNormExact:
             # the returned pair achieves the value
             assert abs(a[np.ix_(s, t)].sum()) / n**2 == pytest.approx(val, abs=1e-12)
 
+    def test_matches_full_enumeration_every_n(self):
+        rng = np.random.default_rng(38)
+        for n in range(1, 12):
+            for a in (np.zeros((n, n)), np.ones((n, n)), sym_matrix(rng, n, "signed"),
+                      sym_matrix(rng, n, "uniform") - 0.4, rng.random((n, n)) - 0.5):
+                val, s, t = cut_norm_exact(a)
+                assert val == pytest.approx(cut_norm_brute(a), abs=1e-12)
+                assert abs(a[np.ix_(s, t)].sum()) / n**2 == pytest.approx(val, abs=1e-12)
+
+    def test_matches_indicator_enumeration(self):
+        rng = np.random.default_rng(39)
+        for n in range(16, 21):
+            a = rng.random((n, n)) - 0.45 if n % 2 else sym_matrix(rng, n, "signed")
+            val, s, t = cut_norm_exact(a)
+            assert val == pytest.approx(cut_norm_by_indicators(a), rel=1e-12)
+            assert abs(a[np.ix_(s, t)].sum()) / n**2 == pytest.approx(val, rel=1e-12)
+
     def test_size_gate(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match="gated at n <= 24"):
             cut_norm_exact(np.zeros((25, 25)))
 
 
@@ -161,6 +250,106 @@ class TestHatDeltaP:
     def test_exact_size_gate(self):
         with pytest.raises(SizeError):
             hat_delta_p(np.zeros((10, 10)), np.zeros((10, 10)), 1, mode="exact")
+
+
+class TestScreenedSwapSearch:
+    """The heuristic p-distances skip transpositions that provably fail, and
+    must return exactly what the full scan returns."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(SEARCH_PAIRS))
+    def test_hat_delta_p_same_as_full_scan(self, monkeypatch, kind, p):
+        rng = np.random.default_rng(40)
+        budget = SearchBudget(restarts=3)
+        for n in (5, 12, 33):
+            a, b = SEARCH_PAIRS[kind](rng, n)
+            val, sigma = hat_delta_p(a, b, p, mode="heuristic", budget=budget, seed=n)
+            with monkeypatch.context() as mp:
+                mp.setattr(metrics, "_perm_search", full_scan_perm_search)
+                ref_val, ref_sigma = hat_delta_p(a, b, p, mode="heuristic",
+                                                 budget=budget, seed=n)
+            assert val == ref_val
+            assert np.array_equal(sigma, ref_sigma)
+
+    @pytest.mark.parametrize("graphon", ["step", "quadratic_xy"])
+    def test_vs_graphon_same_as_full_scan(self, monkeypatch, graphon):
+        w = (StepGraphon(BlockModel([0.3, 0.7], [[0.2, 0.9], [0.9, 0.4]]))
+             if graphon == "step" else named_graphon("quadratic_xy"))
+        rng = np.random.default_rng(41)
+        budget = SearchBudget(restarts=3)
+        for a in (sym_matrix(rng, 16, "adjacency"), np.round(sym_matrix(rng, 16) * 4) / 4):
+            for p in (1, 2):
+                val, sigma = hat_delta_p_vs_graphon(a, w, p, mode="heuristic",
+                                                    budget=budget, seed=2)
+                with monkeypatch.context() as mp:
+                    mp.setattr(metrics, "_perm_search", full_scan_perm_search)
+                    ref_val, ref_sigma = hat_delta_p_vs_graphon(a, w, p, mode="heuristic",
+                                                                budget=budget, seed=2)
+                assert val == ref_val
+                assert np.array_equal(sigma, ref_sigma)
+
+    @pytest.mark.parametrize("kind", sorted(SEARCH_PAIRS))
+    def test_swap_deltas_match_recomputed_totals(self, kind):
+        rng = np.random.default_rng(44)
+        n, p = 9, 1.5
+        a, b = SEARCH_PAIRS[kind](rng, n)
+
+        def cost(x, y, v):
+            return np.abs(v - b[x, y]) ** p
+
+        def total(s):
+            return float((np.abs(a[np.ix_(s, s)] - b) ** p).sum())
+
+        s = rng.permutation(n)
+        screen = metrics._SwapScreen(a, cost, metrics._twin_classes(a), s)
+        for step in range(4):
+            for i in range(n):
+                want = []
+                for j in range(n):
+                    t = s.copy()
+                    t[[i, j]] = t[[j, i]]
+                    want.append(total(t) - total(s))
+                assert np.allclose(screen.row_delta(i), want, rtol=0, atol=1e-12)
+            # the tables must stay right after accepted swaps, too
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            s[[i, j]] = s[[j, i]]
+            screen.swap(i, j)
+
+    def test_screen_skips_most_objective_calls(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        a, b = SEARCH_PAIRS["adjacency"](rng, 33)
+        budget = SearchBudget(restarts=2)
+        calls = {"screened": 0, "full": 0}
+        lp = metrics.matrix_lp
+
+        def search(key):
+            def counted(*args):
+                calls[key] += 1
+                return lp(*args)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(metrics, "matrix_lp", counted)
+                if key == "full":
+                    mp.setattr(metrics, "_perm_search", full_scan_perm_search)
+                hat_delta_p(a, b, 2, mode="heuristic", budget=budget, seed=1)
+
+        search("screened")
+        search("full")
+        assert calls["screened"] * 4 < calls["full"]
+
+    def test_no_cubic_allocation(self):
+        n = 200
+        rng = np.random.default_rng(43)
+        a, b = sym_matrix(rng, n, "adjacency"), sym_matrix(rng, n, "adjacency")
+        tracemalloc.start()
+        try:
+            hat_delta_p(a, b, 2, mode="heuristic",
+                        budget=SearchBudget(restarts=1, iterations=1), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the smallest n x n x n array (one byte per entry) is 8 MB
+        assert peak < n**3
 
 
 class TestHatDeltaCut:
