@@ -23,12 +23,14 @@ from .graphon import (AnalyticGraphon, BlockModel, Graphon, IntervalPartition,
                       power_law_rates, register_graphon, round_to_grid,
                       step_average, tail_rho)
 from .metrics import (Cdf, Coupling, cut_norm, cut_norm_exact, cut_norm_lower,
-                      degree_cdf_of_matrix, delta_p_step, hat_delta_cut,
+                      degree_cdf_of_degrees, degree_cdf_of_matrix,
+                      delta_p_step, hat_delta_cut,
                       hat_delta_p, hat_delta_p_vs_graphon, levy_prokhorov,
                       matrix_lp)
-from .sampling import (Sample, SymMatrix, bernoulli_graph, build_h, build_q,
-                       density, generate_sample, read_matrix, sample_degrees,
-                       sample_latent, write_dense, write_latent, write_ssm)
+from .sampling import (EdgeList, Sample, SymMatrix, bernoulli_graph, build_h,
+                       build_q, density, generate_sample, read_edges,
+                       read_matrix, sample_degrees, sample_latent, write_dense,
+                       write_latent, write_ssm)
 
 __version__ = "0.1.0"
 

@@ -27,10 +27,10 @@ from .graphon import (BlockModel, graphon_from_json, holder_rates,
                       oracle_error_step, power_law_rates, round_to_grid,
                       tail_rho)
 from .metrics import (CUT_EXACT_MAX_N, cut_norm_exact, cut_norm_lower,
-                      degree_cdf_of_matrix, delta_p_step, hat_delta_cut, hat_delta_p,
+                      degree_cdf_of_degrees, delta_p_step, hat_delta_cut, hat_delta_p,
                       hat_delta_p_vs_graphon, levy_prokhorov, matrix_lp)
-from .sampling import (as_matrix, generate_sample, read_matrix, write_latent,
-                       write_ssm)
+from .sampling import (as_matrix, generate_sample, read_edges, read_matrix,
+                       write_latent, write_ssm)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,7 +100,10 @@ def _cmd_estimate(args) -> int:
     if args.algo == "degsort" and args.k is None:
         raise ParameterError("--k is required for --algo degsort")
     _print_seed(args.seed)
-    A = as_matrix(read_matrix(args.infile))
+    if args.algo == "degsort":
+        A = read_edges(args.infile).csr()
+    else:
+        A = as_matrix(read_matrix(args.infile))
     res = (_ALGOS.get(args.algo) or _ALGOS[(args.algo, args.mode)])(A, args)
     B = res.what.B
     doc = {
@@ -116,6 +119,12 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _path_b(args) -> str:
+    if not args.b:
+        raise ParameterError(f"--kind {args.kind} requires --b")
+    return args.b
+
+
 def _distance_record(args):
     kind, mode, p, seed = args.kind, args.mode, args.p, args.seed
     caveat = None
@@ -126,6 +135,14 @@ def _distance_record(args):
         certificate = {"coupling": coupling.nu.tolist()}
         caveat = "upper bound (best coupling found)"
         return value, certificate, "search", caveat
+    if kind == "lp-levy":
+        mine = degree_cdf_of_degrees(read_edges(args.a).degrees())
+        if args.graphon:
+            from .experiments import analytic_degree_cdf
+            other = analytic_degree_cdf(_load_graphon(args.graphon))
+        else:
+            other = degree_cdf_of_degrees(read_edges(_path_b(args)).degrees())
+        return levy_prokhorov(mine, other), None, "exact", None
     A = as_matrix(read_matrix(args.a))
     if kind == "lp-vs-graphon":
         if not args.graphon:
@@ -135,15 +152,7 @@ def _distance_record(args):
         if mode == "heuristic":
             caveat = "upper bound (heuristic vertex alignment)"
         return value, {"permutation": np.asarray(sigma).tolist()}, mode, caveat
-    if kind == "lp-levy":
-        if args.graphon:
-            from .experiments import analytic_degree_cdf
-            other = analytic_degree_cdf(_load_graphon(args.graphon))
-        else:
-            other = degree_cdf_of_matrix(as_matrix(read_matrix(args.b)))
-        value = levy_prokhorov(degree_cdf_of_matrix(A), other)
-        return value, None, "exact", None
-    B = as_matrix(read_matrix(args.b))
+    B = as_matrix(read_matrix(_path_b(args)))
     if A.shape != B.shape:
         raise ParameterError("matrices must have the same size")
     if kind == "lp":

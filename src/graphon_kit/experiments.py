@@ -186,7 +186,8 @@ def step_matrix_vs_graphon_lp(C, W: Graphon, p: float, nodes: int = 2,
     partition of [0,1] into n cells (cell i = [i/n,(i+1)/n)).
 
     Per-cell Gauss-Legendre with `nodes` points per axis, evaluated in row
-    blocks to bound memory at large n.
+    blocks to bound memory at large n. Each block's |W - C|^p is formed in one
+    reused (rows, nodes, n, nodes) buffer, with C broadcast over the nodes.
     """
     c = np.asarray(C, dtype=float)
     n = c.shape[0]
@@ -195,12 +196,17 @@ def step_matrix_vs_graphon_lp(C, W: Graphon, p: float, nodes: int = 2,
     wts = w / 2.0                          # weights sum to 1 per cell
     pts = (np.arange(n)[:, None] / n + offs[None, :]).ravel()
     w_all = np.tile(wts, n)
+    buf = np.empty((min(row_block, n), nodes, n, nodes))
     total = 0.0
     for s in range(0, n, row_block):
         e = min(s + row_block, n)
         wv = W.pair_eval(pts[s * nodes:e * nodes], pts)
-        cv = np.repeat(np.repeat(c[s:e], nodes, axis=0), nodes, axis=1)
-        d = np.abs(wv - cv) ** p
+        d = buf[:e - s]
+        np.subtract(wv.reshape(d.shape), c[s:e, None, :, None], out=d)
+        np.abs(d, out=d)
+        if p != 1:                          # x ** 1.0 == x, so p = 1 skips the power
+            np.power(d, p, out=d)
+        d = d.reshape((e - s) * nodes, n * nodes)
         total += float(np.einsum("a,ab,b->", np.tile(wts, e - s), d, w_all))
     return (total / (n * n)) ** (1.0 / p)
 

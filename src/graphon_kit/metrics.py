@@ -668,9 +668,13 @@ class Cdf:
 
 
 def degree_cdf_of_matrix(A) -> Cdf:
+    """Empirical CDF of normalized degrees d_i / dbar of a matrix's row sums."""
+    return degree_cdf_of_degrees(as_matrix(A).sum(axis=1))
+
+
+def degree_cdf_of_degrees(deg) -> Cdf:
     """Empirical CDF of normalized degrees d_i / dbar."""
-    m = as_matrix(A)
-    deg = m.sum(axis=1)
+    deg = np.asarray(deg, dtype=float)
     dbar = deg.mean()
     if dbar <= 0:
         raise DegenerateError("empty graph has no normalized degree distribution")

@@ -1,11 +1,13 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphon_kit import (SearchBudget, cli, graphon_to_json, hat_delta_cut, named_graphon,
-                         read_matrix)
+from graphon_kit import (SearchBudget, block_average, cli, degree_cdf_of_matrix,
+                         degree_sorting, graphon_to_json, hat_delta_cut, levy_prokhorov,
+                         matrix_lp, named_graphon, read_matrix)
 from graphon_kit.cli import build_parser, main
 from graphon_kit.sampling import as_matrix, write_ssm
 
@@ -81,6 +83,35 @@ class TestExitCodes:
                                "--in", str(bad))
         assert code == 2
         assert "bad.ssm:3" in err
+
+    @pytest.mark.parametrize("body", ["2 2", "1 2 nan"])
+    def test_bad_ssm_entry_is_exit_2(self, capsys, tmp_path, body):
+        bad = tmp_path / "bad.ssm"
+        bad.write_text(f"n 4\n1 2\n{body}\n")
+        for argv in (["estimate", "--algo", "degsort", "--k", "2", "--in", str(bad)],
+                     ["estimate", "--algo", "ls", "--kappa", "0.5", "--in", str(bad)],
+                     ["distance", "--kind", "lp-levy", "--a", str(bad), "--b", str(bad)]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "bad.ssm:3" in err
+
+    @pytest.mark.parametrize("text, line", [("1 x\nx 1\n", 1), ("0 1\n1\n", 2)])
+    def test_malformed_dense_file_is_exit_2(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        for argv in (["estimate", "--algo", "degsort", "--k", "2", "--in", str(bad)],
+                     ["distance", "--kind", "lp", "--a", str(bad), "--b", str(bad)]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert f"bad.txt:{line}" in err
+
+    @pytest.mark.parametrize("kind", ["lp", "lp-levy"])
+    def test_missing_second_input_is_exit_2(self, capsys, tmp_path, kind):
+        g = tmp_path / "g.ssm"
+        g.write_text("n 3\n1 2\n")
+        code, _, err = run_cli(capsys, "distance", "--kind", kind, "--a", str(g))
+        assert code == 2
+        assert "--b" in err
 
     def test_numeric_error_is_exit_4(self, capsys, tmp_path):
         spec = tmp_path / "pl.json"
@@ -207,6 +238,56 @@ class TestDistanceKinds:
                                "--a", two_graphs[0], "--graphon", graphon_spec)
         assert code == 0
         assert 0.0 <= json.loads(out)["value"] <= 1.0
+
+
+class TestSparsePath:
+    """estimate --algo degsort and distance --kind lp-levy read .ssm files as
+    edge arrays and give what the dense matrix gives."""
+
+    @staticmethod
+    def random_ssm(path, n, edges, seed):
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(1, n + 1, size=(2, edges))
+        keep = i != j
+        path.write_text(f"n {n}\n" + "".join(f"{a} {b}\n" for a, b in zip(i[keep], j[keep])))
+
+    def test_match_dense_path(self, capsys, tmp_path, graphon_spec):
+        g, h = tmp_path / "g.ssm", tmp_path / "h.ssm"
+        for path, seed in ((g, 3), (h, 4)):
+            run_cli(capsys, "sample", "--graphon", graphon_spec, "--n", "200",
+                    "--rho", "0.1", "--seed", str(seed), "--out", str(path))
+        a, b = as_matrix(read_matrix(str(g))), as_matrix(read_matrix(str(h)))
+        code, out, _ = run_cli(capsys, "estimate", "--algo", "degsort", "--k", "5",
+                               "--in", str(g))
+        assert code == 0
+        doc, ref = json.loads(out), degree_sorting(a, 5)
+        assert doc["assignment"] == ref.partition.assign.tolist()
+        assert doc["p"] == ref.what.p.tolist()
+        B = ref.what.B
+        assert doc["b_upper"] == [B[i, j] for i in range(5) for j in range(i, 5)]
+        assert doc["objective"] == pytest.approx(
+            matrix_lp(a - block_average(a, ref.partition)[1], 1), rel=1e-12)
+        code, out, _ = run_cli(capsys, "distance", "--kind", "lp-levy",
+                               "--a", str(g), "--b", str(h))
+        assert code == 0
+        assert json.loads(out)["value"] == levy_prokhorov(degree_cdf_of_matrix(a),
+                                                          degree_cdf_of_matrix(b))
+
+    def test_no_dense_matrix(self, capsys, tmp_path):
+        # an n x n float64 array alone would take n^2 * 8 bytes
+        n = 2048
+        g = tmp_path / "g.ssm"
+        self.random_ssm(g, n, 20 * n, seed=9)
+        for argv in (["estimate", "--algo", "degsort", "--k", "7", "--in", str(g)],
+                     ["distance", "--kind", "lp-levy", "--a", str(g), "--b", str(g)]):
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < n * n * 8 / 4, argv[0]
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import (
     block_average_brute,
@@ -22,6 +23,7 @@ from graphon_kit import (
     least_cut_search,
     least_squares_exact,
     least_squares_search,
+    matrix_lp,
 )
 
 FOUR_TWO_BLOCK = np.array([
@@ -369,3 +371,51 @@ class TestDegreeSorting:
         r2 = degree_sorting(a, 4)
         assert np.array_equal(r1.partition.assign, r2.partition.assign)
         assert r1.objective == r2.objective
+
+
+class TestDegreeSortingSparse:
+    """degree_sorting reads every input as CSR and scores it without a lift."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(51)
+        for n in (7, 30, 64):
+            yield random_adjacency(rng, n)
+            yield sym_matrix(rng, n, "uniform") * 3.0                    # weighted
+            yield sym_matrix(rng, n, "uniform") * random_adjacency(rng, n)  # probabilities
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 40, 70])
+    def test_dense_and_csr_agree(self, k):
+        for a in self.cases():
+            dense, csr = degree_sorting(a, k), degree_sorting(sparse.csr_array(a), k)
+            assert np.array_equal(dense.partition.assign, csr.partition.assign)
+            assert np.array_equal(dense.what.p, csr.what.p)
+            assert np.array_equal(dense.what.B, csr.what.B)
+            assert dense.diagnostics == csr.diagnostics
+            assert dense.objective == csr.objective
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 40, 70])
+    def test_objective_matches_lifted_residual(self, k):
+        # k = 40, 70 exceed n at n = 7 and n = 30, so some classes are empty;
+        # 0/1 graphs have fewer distinct degrees than k
+        for a in self.cases():
+            res = degree_sorting(sparse.csr_array(a), k)
+            lifted = block_average(a, Partition(res.partition.assign, res.partition.k))[1]
+            brute = matrix_lp(a - lifted, 1)
+            assert res.objective == pytest.approx(brute, rel=1e-12, abs=1e-300)
+
+    def test_duplicate_csr_entries_are_summed(self):
+        a = sparse.csr_array((np.array([0.5, 0.25, 0.5, 0.25]),
+                              (np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0]))), shape=(3, 3))
+        res = degree_sorting(a, 2)
+        ref = degree_sorting(np.array([[0, 0.75, 0], [0.75, 0, 0], [0, 0, 0]]), 2)
+        assert res.objective == ref.objective
+        assert np.array_equal(res.what.B, ref.what.B)
+
+    def test_input_not_modified(self):
+        a = sparse.csr_array((np.array([1.0, 1.0]), (np.array([0, 0]), np.array([1, 1]))),
+                             shape=(2, 2))
+        before = (a.data.copy(), a.indices.copy(), a.indptr.copy())
+        degree_sorting(a + a.T, 1)
+        degree_sorting(a, 1)
+        assert all(np.array_equal(x, y) for x, y in zip(before, (a.data, a.indices, a.indptr)))
