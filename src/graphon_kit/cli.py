@@ -108,8 +108,7 @@ def _cmd_estimate(args) -> int:
     B = res.what.B
     doc = {
         "p": res.what.p.tolist(),
-        "b_upper": [B[i, j] for i in range(B.shape[0])
-                    for j in range(i, B.shape[1])],
+        "b_upper": B[np.triu_indices(B.shape[0])].tolist(),
         "assignment": res.partition.assign.tolist(),
         "objective": res.objective,
         "mode": res.mode,
@@ -192,10 +191,10 @@ def _cmd_distance(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
+    cfg = ExperimentConfig.from_json(doc)
     kind = doc.get("kind")
     if not kind:
         raise ParameterError("experiment config needs a 'kind' field")
-    cfg = ExperimentConfig.from_json(doc)
     _print_seed(cfg.seeds[0])
     records = run_experiment(kind, cfg, args.out)
     print(f"wrote {len(records)} trials under {args.out}", file=sys.stderr)

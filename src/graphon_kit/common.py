@@ -1,8 +1,10 @@
 """Shared plumbing: exceptions, numeric estimates, search budgets, seeded RNG
-streams, and set partitions in restricted-growth form."""
+streams, the first-minimizer selection rule, and set partitions in
+restricted-growth form."""
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +73,20 @@ def substream(seed: int, *tags) -> np.random.Generator:
     key = tuple(zlib.crc32(t.encode()) if isinstance(t, str) else int(t) for t in tags)
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def first_min(pairs):
+    """First minimizer of (value, item) pairs taken in order.
+
+    A later pair replaces the best so far only when its value is lower by
+    more than 1e-15, so ties go to the earlier item, and NaN or inf never
+    wins. Returns (inf, None) when no pair has a finite value.
+    """
+    best_v, best = math.inf, None
+    for v, item in pairs:
+        if v < best_v - 1e-15:
+            best_v, best = v, item
+    return best_v, best
 
 
 def feasible_partitions(n: int, min_size: int, max_k: int):

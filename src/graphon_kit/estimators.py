@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .common import (DegenerateError, ParameterError, SearchBudget, SizeError,
-                     canonical_labels, feasible_partitions, substream)
+                     canonical_labels, feasible_partitions, first_min, substream)
 from .graphon import BlockModel
 from .metrics import cut_norm, cut_norm_exact, matrix_lp
 from .sampling import as_matrix, density
@@ -132,6 +132,11 @@ def _result_from_partition(A, pi: Partition, objective: float, mode: str,
 # ---------------------------------------------------------------------------
 
 
+def _residual(a: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """A - A_pi for the partition with labels assign in 0..k-1."""
+    return a - block_average(a, Partition(assign, k))[1]
+
+
 def _exact_fit(A, kappa: float, objective, max_n: int, name: str) -> EstimationResult:
     """Minimize objective(A - A_pi) over all kappa-feasible partitions, gated
     at n <= max_n; the first minimizer in restricted-growth order wins."""
@@ -140,14 +145,9 @@ def _exact_fit(A, kappa: float, objective, max_n: int, name: str) -> EstimationR
     if n > max_n:
         raise SizeError(f"exact {name} is gated at n <= {max_n} (got {n}); "
                         f"use {name.replace(' ', '_')}_search")
-    best_obj = math.inf
-    best_assign = None
-    for assign in feasible_partitions(n, *kappa_class_bounds(n, kappa)):
-        _, lifted = block_average(a, Partition(assign, int(assign.max()) + 1))
-        obj = objective(a - lifted)
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_assign = assign
+    best_obj, best_assign = first_min(
+        (objective(_residual(a, assign, int(assign.max()) + 1)), assign)
+        for assign in feasible_partitions(n, *kappa_class_bounds(n, kappa)))
     pi = Partition(best_assign, int(best_assign.max()) + 1)
     return _result_from_partition(a, pi, best_obj, "exact")
 
@@ -172,6 +172,37 @@ def least_cut_exact(A, kappa: float) -> EstimationResult:
 # ---------------------------------------------------------------------------
 
 
+def _feasible(assign: np.ndarray, min_size: int, k: int) -> bool:
+    """Every nonempty class meets the size floor."""
+    sizes = np.bincount(assign, minlength=k)
+    return bool(np.all((sizes == 0) | (sizes >= min_size)))
+
+
+def _degree_start(a: np.ndarray, k: int) -> np.ndarray:
+    """k contiguous classes of vertices by descending degree, ties by index."""
+    n = a.shape[0]
+    order = np.lexsort((np.arange(n), -a.sum(axis=1)))
+    assign = np.empty(n, dtype=int)
+    assign[order] = np.minimum(np.arange(n) * k // n, k - 1)
+    return assign
+
+
+def _search_fit(a: np.ndarray, kappa: float, restarts: int, seed: int, tag: str,
+                restart, diagnostics: dict) -> EstimationResult:
+    """Best kappa-feasible partition over seeded restarts: restart(rng, r,
+    min_size, k) runs restart r on substream (seed, tag, r) with the kappa
+    bounds and returns (objective, assign); infeasible results are dropped
+    and the first minimizer wins."""
+    min_size, k = kappa_class_bounds(a.shape[0], kappa)
+    runs = (restart(substream(seed, tag, r), r, min_size, k) for r in range(restarts))
+    best_obj, best_assign = first_min((obj, assign) for obj, assign in runs
+                                      if _feasible(assign, min_size, k))
+    if best_assign is None:
+        raise DegenerateError("search found no feasible partition")
+    return _result_from_partition(a, Partition(best_assign, k), best_obj, "search",
+                                  diagnostics)
+
+
 def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) -> np.ndarray:
     """Restore the class-size floor: move lowest-cost vertices into short
     classes while donors exist, otherwise dissolve the smallest short class.
@@ -179,8 +210,7 @@ def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) 
 
     Each move takes one vectorized pass over the donor rows: the cost of
     moving v is the squared-residual increase of row v against the current
-    block averages, and the first vertex that beats every earlier one by
-    more than 1e-15 moves."""
+    block averages, and the first cheapest vertex moves (common.first_min)."""
     n = a.shape[0]
     assign = assign.copy()
     for _ in range(2 * n):
@@ -205,19 +235,11 @@ def _repair_min_sizes(a: np.ndarray, assign: np.ndarray, min_size: int, k: int) 
             continue
         cur = ((a[rows] - B[assign[rows]][:, assign]) ** 2).sum(axis=1)
         new = ((a[rows] - B[target, assign]) ** 2).sum(axis=1)
-        best_v, best_cost = -1, math.inf
-        for v, cost in zip(rows.tolist(), (new - cur).tolist()):
-            if cost < best_cost - 1e-15:
-                best_cost, best_v = cost, v
-        if best_v < 0:
+        _, best_v = first_min(zip((new - cur).tolist(), rows.tolist()))
+        if best_v is None:
             break
         assign[best_v] = target
     return assign
-
-
-def _ls_objective(a: np.ndarray, assign: np.ndarray, k: int) -> float:
-    _, lifted = block_average(a, Partition(assign, k))
-    return matrix_lp(a - lifted, 2)
 
 
 class _BlockSums:
@@ -398,31 +420,20 @@ def least_squares_search(A, kappa: float, restarts: int = 50, seed: int = 0) -> 
     """
     a = as_matrix(A)
     n = a.shape[0]
-    min_size, k = kappa_class_bounds(n, kappa)
-    # at most this many classes can meet the floor simultaneously
-    k_eff = min(k, max(1, n // min_size))
-    best_obj = math.inf
-    best_assign = None
-    trace_len = 0
-    for r in range(restarts):
-        rng = substream(seed, "ls_restart", r)
+    diagnostics = {"restarts": restarts, "trace_length": 0}
+
+    def restart(rng, r, min_size, k):
+        # at most this many classes can meet the floor simultaneously
+        k_eff = min(k, max(1, n // min_size))
         if r == 0:
-            # degree-sorted contiguous start
-            order = np.lexsort((np.arange(n), -a.sum(axis=1)))
-            assign = np.empty(n, dtype=int)
-            assign[order] = np.minimum(np.arange(n) * k_eff // n, k_eff - 1)
+            assign = _degree_start(a, k_eff)
         elif r % 2 == 1 and k_eff >= 2:
-            assign = _repair_min_sizes(a, _hierarchical_init(a, k_eff, rng),
-                                       min_size, k)
+            assign = _repair_min_sizes(a, _hierarchical_init(a, k_eff, rng), min_size, k)
         else:
-            assign = _repair_min_sizes(a, rng.integers(k_eff, size=n),
-                                       min_size, k)
-        prev = math.inf
+            assign = _repair_min_sizes(a, rng.integers(k_eff, size=n), min_size, k)
+        obj, prev = matrix_lp(_residual(a, assign, k), 2), math.inf
         for _ in range(100):
-            pi = Partition(assign, k)
-            B, lifted = block_average(a, pi)
-            obj_before = matrix_lp(a - lifted, 2)
-            assert obj_before <= prev + 1e-12, "averaging step increased the objective"
+            B = _block_means(a, assign, k)
             # sequential reassignment, monotone for fixed B: moving v changes
             # row v and (by symmetry) column v, plus the diagonal cell once
             for v in range(n):
@@ -430,30 +441,22 @@ def least_squares_search(A, kappa: float, restarts: int = 50, seed: int = 0) -> 
                 row_off = base - (a[v, v] - B[:, assign[v]]) ** 2
                 resid = 2.0 * row_off + (a[v, v] - B.diagonal()) ** 2
                 assign[v] = int(np.argmin(resid))
-            obj_after = _ls_objective(a, assign, k)
-            assert obj_after <= obj_before + 1e-12, "reassignment increased the objective"
+            assert matrix_lp(_residual(a, assign, k), 2) <= obj + 1e-12, \
+                "reassignment increased the objective"
             assign = _repair_min_sizes(a, assign, min_size, k)
-            obj = _ls_objective(a, assign, k)
-            trace_len += 1
+            obj = matrix_lp(_residual(a, assign, k), 2)
+            diagnostics["trace_length"] += 1
             if obj >= prev - 1e-12:
                 break
             prev = obj
-        sizes = np.bincount(assign, minlength=k)
-        if np.any((sizes > 0) & (sizes < min_size)):
-            continue
+        if not _feasible(assign, min_size, k):
+            return obj, assign          # _search_fit drops it; no polish
         # exact-objective descent (moves + swaps) from the alternating fixed
         # point; can only improve the upper bound
         assign = _polish(a, assign, k, min_size, rng)
-        obj = _ls_objective(a, assign, k)
-        sizes = np.bincount(assign, minlength=k)
-        if np.all((sizes == 0) | (sizes >= min_size)) and obj < best_obj - 1e-15:
-            best_obj = obj
-            best_assign = assign.copy()
-    if best_assign is None:
-        raise DegenerateError("search found no feasible partition")
-    pi = Partition(best_assign, k)
-    return _result_from_partition(a, pi, best_obj, "search",
-                                  {"restarts": restarts, "trace_length": trace_len})
+        return matrix_lp(_residual(a, assign, k), 2), assign
+
+    return _search_fit(a, kappa, restarts, seed, "ls_restart", restart, diagnostics)
 
 
 def least_cut_search(A, kappa: float, restarts: int = 20, seed: int = 0,
@@ -467,24 +470,11 @@ def least_cut_search(A, kappa: float, restarts: int = 20, seed: int = 0,
     """
     a = as_matrix(A)
     n = a.shape[0]
-    min_size, k = kappa_class_bounds(n, kappa)
 
-    def objective(assign) -> float:
-        _, lifted = block_average(a, Partition(assign, k))
-        return cut_norm(a - lifted, budget, seed)
-
-    best_obj = math.inf
-    best_assign = None
-    for r in range(restarts):
-        rng = substream(seed, "cut_restart", r)
-        if r == 0:
-            order = np.lexsort((np.arange(n), -a.sum(axis=1)))
-            assign = np.empty(n, dtype=int)
-            assign[order] = np.minimum(np.arange(n) * k // n, k - 1)
-        else:
-            assign = rng.integers(k, size=n)
+    def restart(rng, r, min_size, k):
+        assign = _degree_start(a, k) if r == 0 else rng.integers(k, size=n)
         assign = _repair_min_sizes(a, assign, min_size, k)
-        obj = objective(assign)
+        obj = cut_norm(_residual(a, assign, k), budget, seed)
         for _ in range(budget.iterations):
             improved = False
             for v in rng.permutation(n):
@@ -498,7 +488,7 @@ def least_cut_search(A, kappa: float, restarts: int = 20, seed: int = 0,
                     if sizes[c] == 0 and min_size > 1:
                         continue  # a move into an empty class lands below the size floor
                     assign[v] = c
-                    cand = objective(assign)
+                    cand = cut_norm(_residual(a, assign, k), budget, seed)
                     if cand < obj - 1e-12:
                         obj = cand
                         cur = c
@@ -507,16 +497,10 @@ def least_cut_search(A, kappa: float, restarts: int = 20, seed: int = 0,
                         assign[v] = cur
             if not improved:
                 break
-        sizes = np.bincount(assign, minlength=k)
-        if np.all((sizes == 0) | (sizes >= min_size)) and obj < best_obj - 1e-15:
-            best_obj = obj
-            best_assign = assign.copy()
-    if best_assign is None:
-        raise DegenerateError("search found no feasible partition")
-    pi = Partition(best_assign, k)
-    return _result_from_partition(a, pi, best_obj, "search",
-                                  {"restarts": restarts,
-                                   "objective_is_heuristic": True})
+        return obj, assign
+
+    return _search_fit(a, kappa, restarts, seed, "cut_restart", restart,
+                       {"restarts": restarts, "objective_is_heuristic": True})
 
 
 def degree_sorting(A, k: int) -> EstimationResult:

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,10 +25,15 @@ from .estimators import (block_average, degree_sorting, least_cut_search,
                          least_squares_search)
 from .graphon import (Graphon, PowerLawProduct, PowerLawSum, degree_cdf,
                       graphon_from_json, graphon_to_json, lp_norm)
-from .metrics import (Cdf, CUT_EXACT_MAX_N, PERM_EXACT_MAX_N, cut_norm_exact,
-                      cut_norm_lower, hat_delta_p, levy_prokhorov, matrix_lp)
+from .metrics import (Cdf, CUT_EXACT_MAX_N, PERM_EXACT_MAX_N, cut_norm, hat_delta_p,
+                      levy_prokhorov, matrix_lp)
 from .sampling import (as_matrix, build_h, build_q, density, generate_sample,
                        sample_degrees, sample_latent)
+
+_LP_NODES = 2              # Gauss-Legendre nodes per cell axis in step_matrix_vs_graphon_lp
+_LP_ROW_BLOCK = 256
+_TAIL_TOP = 20             # degrees kept above tail_slope's fit window
+_DEGREE_TAIL_MASS = 1e-6   # tail mass analytic_degree_cdf may neglect
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +65,23 @@ class DensityRule:
         return rho
 
 
+_ALGORITHMS = ("least_squares", "least_cut", "degree_sorting")
+_CONVERSIONS = {"ns": lambda v: tuple(int(n) for n in v),
+                "seeds": lambda v: tuple(int(s) for s in v),
+                "restarts": int, "p": float, "n_random_partitions": int, "k": int}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's inputs. The fields and their defaults are also the
+    JSON schema (from_json and to_json are derived from them), and
+    __post_init__ checks every field, so a bad config fails when it is built."""
+
     graphon: Graphon
     ns: tuple
-    density: DensityRule
     seeds: tuple
+    density: DensityRule = DensityRule()
     algorithm: str = "degree_sorting"   # least_squares | least_cut | degree_sorting
-    mode: str = "search"
     restarts: int = 20
     kappa: float | None = None
     k_rule: object = None               # int, or "ceil_n_quarter" for ceil(n^(1/4))
@@ -76,12 +90,30 @@ class ExperimentConfig:
     k: int = 8                          # class count for concentration candidates
 
     def __post_init__(self) -> None:
-        if not self.ns or any(int(n) <= 0 for n in self.ns):
+        for name, convert in _CONVERSIONS.items():
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"experiment config {name!r} has a bad value "
+                                     f"{getattr(self, name)!r}") from None
+        if not self.ns or any(n <= 0 for n in self.ns):
             raise ParameterError("n grid must be nonempty and positive")
         if len(self.seeds) == 0:
             raise ParameterError("seed list must be nonempty")
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.algorithm not in _ALGORITHMS:
+            raise ParameterError(f"unknown algorithm {self.algorithm!r}; "
+                                 f"choose from {list(_ALGORITHMS)}")
+        if self.kappa is None and self.algorithm != "degree_sorting":
+            raise ParameterError(f"algorithm {self.algorithm!r} needs kappa")
+        if self.kappa is not None and not (isinstance(self.kappa, (int, float))
+                                           and 0.0 < self.kappa <= 1.0):
+            raise ParameterError(f"kappa must lie in (0,1], got {self.kappa!r}")
+        if self.restarts < 1 or self.k < 1 or self.p < 1:
+            raise ParameterError("restarts, k and p must be >= 1")
+        if not (self.k_rule in (None, "ceil_n_quarter")
+                or (type(self.k_rule) is int and self.k_rule >= 1)):
+            raise ParameterError(f"k_rule must be an integer >= 1 or 'ceil_n_quarter', "
+                                 f"got {self.k_rule!r}")
         for n in self.ns:
             self.density(n)  # validates rho(n) in (0,1]
 
@@ -90,13 +122,15 @@ class ExperimentConfig:
             return math.ceil(n ** 0.25)
         if self.k_rule is None:
             return self.k
-        return int(self.k_rule)
+        return self.k_rule
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its JSON form; a "kind" key (the CLI's
         experiment kind) is allowed and ignored."""
-        missing = [key for key in ("graphon", "ns", "seeds") if key not in doc]
+        if not isinstance(doc, dict):
+            raise ParameterError("experiment config must be a JSON object")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
             raise ParameterError(f"experiment config lacks required key(s) {missing}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"kind"})
@@ -106,33 +140,14 @@ class ExperimentConfig:
         unknown = sorted(set(d) - {f.name for f in fields(DensityRule)})
         if unknown:
             raise ParameterError(f"experiment config density has unknown key(s) {unknown}")
-        return cls(
-            graphon=graphon_from_json(doc["graphon"]),
-            ns=tuple(doc["ns"]),
-            density=DensityRule(**d),
-            seeds=tuple(doc["seeds"]),
-            algorithm=doc.get("algorithm", "degree_sorting"),
-            mode=doc.get("mode", "search"),
-            restarts=int(doc.get("restarts", 20)),
-            kappa=doc.get("kappa"),
-            k_rule=doc.get("k_rule"),
-            p=float(doc.get("p", 1.0)),
-            n_random_partitions=int(doc.get("n_random_partitions", 1000)),
-            k=int(doc.get("k", 8)),
-        )
+        kwargs = {key: value for key, value in doc.items() if key != "kind"}
+        return cls(**dict(kwargs, graphon=graphon_from_json(doc["graphon"]),
+                          density=DensityRule(**d)))
 
     def to_json(self) -> dict:
-        return {
-            "graphon": graphon_to_json(self.graphon),
-            "ns": list(self.ns),
-            "density": {"kind": self.density.kind, "c": self.density.c,
-                        "gamma": self.density.gamma},
-            "seeds": list(self.seeds),
-            "algorithm": self.algorithm, "mode": self.mode,
-            "restarts": self.restarts, "kappa": self.kappa,
-            "k_rule": self.k_rule, "p": self.p,
-            "n_random_partitions": self.n_random_partitions, "k": self.k,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(doc, graphon=graphon_to_json(self.graphon), ns=list(self.ns),
+                    seeds=list(self.seeds), density=asdict(self.density))
 
 
 @dataclass(frozen=True)
@@ -163,16 +178,32 @@ def max_workers() -> int:
     return v if v > 0 else (os.cpu_count() or 1)
 
 
-def _run_trials(trial, keys) -> list:
-    """Run trial(key) for each (n, seed) key in a pool; aggregate in key order."""
+_VALUE_COLUMNS = {
+    "consistency": ("error_truth_lp", "error_hat2_q", "objective"),
+    "concentration": ("eps_tilde", "bound_a", "holds_a",
+                      "cut_residual", "bound_b", "holds_b", "cut_exact"),
+    "degree_distribution": ("d_lp", "tail_slope"),
+    "norm_convergence": ("h_norm", "w_norm", "q_step_error"),
+}
+
+
+def _run_trials(cfg: ExperimentConfig, experiment: str, trial) -> list:
+    """One timed TrialRecord per (n, seed) of cfg, run in a pool, in (n, seed)
+    order. trial(n, seed, rho, values) gets rho = cfg.density(n) and the value
+    columns NaN-filled, fills values in and returns (rho_observed,
+    kappa_or_k, algorithm, note)."""
+    def run(key):
+        n, seed = key
+        t0 = time.perf_counter()
+        rho = cfg.density(n)
+        values = {v: float("nan") for v in _VALUE_COLUMNS[experiment]}
+        rho_obs, kappa_or_k, algorithm, note = trial(n, seed, rho, values)
+        return TrialRecord(experiment, n, rho, rho_obs, kappa_or_k, algorithm, seed,
+                           values, time.perf_counter() - t0, note)
+
+    keys = sorted((n, s) for n in cfg.ns for s in cfg.seeds)
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        results = list(pool.map(trial, keys))
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    return [results[i] for i in order]
-
-
-def _keys(cfg: ExperimentConfig) -> list:
-    return [(n, s) for n in cfg.ns for s in cfg.seeds]
+        return list(pool.map(run, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +211,32 @@ def _keys(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def step_matrix_vs_graphon_lp(C, W: Graphon, p: float, nodes: int = 2,
-                              row_block: int = 256) -> float:
+def step_matrix_vs_graphon_lp(C, W: Graphon, p: float) -> float:
     """||C - W||_p where matrix C is read as a step kernel on the uniform
     partition of [0,1] into n cells (cell i = [i/n,(i+1)/n)).
 
-    Per-cell Gauss-Legendre with `nodes` points per axis, evaluated in row
-    blocks to bound memory at large n. Each block's |W - C|^p is formed in one
+    Per-cell Gauss-Legendre with 2 points per axis, evaluated in blocks of 256
+    rows to bound memory at large n. Each block's |W - C|^p is formed in one
     reused (rows, nodes, n, nodes) buffer, with C broadcast over the nodes.
     """
     c = np.asarray(C, dtype=float)
     n = c.shape[0]
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_LP_NODES)
     offs = (x + 1.0) / (2.0 * n)          # node offsets within a width-1/n cell
     wts = w / 2.0                          # weights sum to 1 per cell
     pts = (np.arange(n)[:, None] / n + offs[None, :]).ravel()
     w_all = np.tile(wts, n)
-    buf = np.empty((min(row_block, n), nodes, n, nodes))
+    buf = np.empty((min(_LP_ROW_BLOCK, n), _LP_NODES, n, _LP_NODES))
     total = 0.0
-    for s in range(0, n, row_block):
-        e = min(s + row_block, n)
-        wv = W.pair_eval(pts[s * nodes:e * nodes], pts)
+    for s in range(0, n, _LP_ROW_BLOCK):
+        e = min(s + _LP_ROW_BLOCK, n)
+        wv = W.pair_eval(pts[s * _LP_NODES:e * _LP_NODES], pts)
         d = buf[:e - s]
         np.subtract(wv.reshape(d.shape), c[s:e, None, :, None], out=d)
         np.abs(d, out=d)
         if p != 1:                          # x ** 1.0 == x, so p = 1 skips the power
             np.power(d, p, out=d)
-        d = d.reshape((e - s) * nodes, n * nodes)
+        d = d.reshape((e - s) * _LP_NODES, n * _LP_NODES)
         total += float(np.einsum("a,ab,b->", np.tile(wts, e - s), d, w_all))
     return (total / (n * n)) ** (1.0 / p)
 
@@ -214,24 +244,14 @@ def step_matrix_vs_graphon_lp(C, W: Graphon, p: float, nodes: int = 2,
 def _estimate(cfg: ExperimentConfig, A, n: int, seed: int):
     if cfg.algorithm == "degree_sorting":
         return degree_sorting(A, cfg.classes_for(n))
-    if cfg.kappa is None:
-        raise ParameterError(f"algorithm {cfg.algorithm!r} needs kappa")
     if cfg.algorithm == "least_squares":
         return least_squares_search(A, cfg.kappa, cfg.restarts, seed)
-    if cfg.algorithm == "least_cut":
-        return least_cut_search(A, cfg.kappa, cfg.restarts, seed)
-    raise ParameterError(f"unknown algorithm {cfg.algorithm!r}")
+    return least_cut_search(A, cfg.kappa, cfg.restarts, seed)
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
-
-CONSISTENCY_VALUES = ("error_truth_lp", "error_hat2_q", "objective")
-CONCENTRATION_VALUES = ("eps_tilde", "bound_a", "holds_a",
-                        "cut_residual", "bound_b", "holds_b", "cut_exact")
-DEGREE_VALUES = ("d_lp", "tail_slope")
-NORM_VALUES = ("h_norm", "w_norm", "q_step_error")
 
 
 def run_consistency(cfg: ExperimentConfig) -> list:
@@ -242,13 +262,9 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     Least squares / least cut additionally report hat-delta_2 between the
     fitted step matrix and Q/rho when n is small enough for the metric.
     """
-    def trial(key):
-        n, seed = key
-        t0 = time.perf_counter()
-        rho = cfg.density(n)
+    def trial(n, seed, rho, values):
         kk = cfg.classes_for(n) if cfg.algorithm == "degree_sorting" else cfg.kappa
         note = ""
-        values = {v: float("nan") for v in CONSISTENCY_VALUES}
         try:
             small = n <= 64 and cfg.algorithm != "degree_sorting"
             sample = generate_sample(cfg.graphon, n, rho, seed, with_q=small)
@@ -270,11 +286,9 @@ def run_consistency(cfg: ExperimentConfig) -> list:
         except GraphonKitError as exc:
             note = f"skipped: {exc}"
             rho_obs = float("nan")
-        return TrialRecord("consistency", n, rho, rho_obs, kk or 0.0,
-                           cfg.algorithm, seed, values,
-                           time.perf_counter() - t0, note)
+        return rho_obs, kk, cfg.algorithm, note
 
-    return _run_trials(trial, _keys(cfg))
+    return _run_trials(cfg, "consistency", trial)
 
 
 def _eps_tilde(diff: np.ndarray, assigns, k: int) -> float:
@@ -302,11 +316,7 @@ def run_concentration(cfg: ExperimentConfig) -> list:
     """
     k = cfg.k
 
-    def trial(key):
-        n, seed = key
-        t0 = time.perf_counter()
-        rho = cfg.density(n)
-        values = {v: float("nan") for v in CONCENTRATION_VALUES}
+    def trial(n, seed, rho, values):
         latent = sample_latent(cfg.graphon, n, seed)
         Q = as_matrix(build_q(cfg.graphon, latent, rho))
         sample = generate_sample(cfg.graphon, n, rho, seed, with_q=False)
@@ -332,26 +342,22 @@ def run_concentration(cfg: ExperimentConfig) -> list:
             rho_q * ((1.0 + math.log(k)) / n + k * k / (n * n)))
         values["holds_a"] = float(values["eps_tilde"] <= values["bound_a"])
 
-        exact = n <= CUT_EXACT_MAX_N
-        values["cut_exact"] = float(exact)
-        values["cut_residual"] = (cut_norm_exact(diff)[0] if exact
-                                  else cut_norm_lower(diff, seed=seed)[0])
+        values["cut_exact"] = float(n <= CUT_EXACT_MAX_N)
+        values["cut_residual"] = cut_norm(diff, seed=seed)   # exact up to CUT_EXACT_MAX_N
         values["bound_b"] = 15.0 * math.sqrt(rho_q / n)
         values["holds_b"] = float(values["cut_residual"] <= values["bound_b"])
-        return TrialRecord("concentration", n, rho, density(A), float(k),
-                           "candidate_set", seed, values,
-                           time.perf_counter() - t0)
+        return density(A), float(k), "candidate_set", ""
 
-    return _run_trials(trial, _keys(cfg))
+    return _run_trials(cfg, "concentration", trial)
 
 
-def tail_slope(norm_degrees: np.ndarray, top: int = 20) -> float:
+def tail_slope(norm_degrees: np.ndarray) -> float:
     """Least-squares slope of log10(1 - D(lam)) vs log10(lam) over the top
     decade of the normalized degree range, where the decade's upper edge is
-    the (1 - top/n) quantile (keeps `top` points above the fit window)."""
+    the (1 - 20/n) quantile (keeps 20 points above the fit window)."""
     d = np.sort(np.asarray(norm_degrees, dtype=float))
     n = d.size
-    hi = float(np.quantile(d, 1.0 - top / n))
+    hi = float(np.quantile(d, 1.0 - _TAIL_TOP / n))
     lo = hi / 10.0
     sel = (d > lo) & (d <= hi) & (d > 0)
     lam = np.unique(d[sel])
@@ -364,9 +370,9 @@ def tail_slope(norm_degrees: np.ndarray, top: int = 20) -> float:
     return float(coef[0])
 
 
-def analytic_degree_cdf(W: Graphon, tol: float = 1e-6, m: int = 4000) -> Cdf:
+def analytic_degree_cdf(W: Graphon) -> Cdf:
     """Discretized D_W(lam) = P(W_x <= lam), upper range chosen so the
-    neglected tail mass is below tol."""
+    neglected tail mass is below 1e-6."""
     if degree_cdf(W, 1.0).error > 0.0:
         # no closed form: one Monte Carlo batch of latent draws with degrees
         # computed in bulk, then the empirical CDF (re-solving the inversion
@@ -383,10 +389,10 @@ def analytic_degree_cdf(W: Graphon, tol: float = 1e-6, m: int = 4000) -> Cdf:
             degs = np.interp(xs, grid, grid_degs)
         return Cdf.from_samples(degs, provenance="analytic")
     hi = 1.0
-    while float(degree_cdf(W, hi)) < 1.0 - tol and hi < 1e9:
+    while float(degree_cdf(W, hi)) < 1.0 - _DEGREE_TAIL_MASS and hi < 1e9:
         hi *= 2.0
     return Cdf.from_function(lambda lam: float(degree_cdf(W, lam)), 0.0, hi,
-                             m=m, provenance="analytic")
+                             provenance="analytic")
 
 
 def run_degree_distribution(cfg: ExperimentConfig) -> list:
@@ -396,18 +402,11 @@ def run_degree_distribution(cfg: ExperimentConfig) -> list:
     target = analytic_degree_cdf(cfg.graphon)
     power_law = isinstance(cfg.graphon, (PowerLawSum, PowerLawProduct))
 
-    def trial(key):
-        n, seed = key
-        t0 = time.perf_counter()
-        rho = cfg.density(n)
-        values = {v: float("nan") for v in DEGREE_VALUES}
+    def trial(n, seed, rho, values):
         note = ""
         deg = sample_degrees(cfg.graphon, n, rho, seed)
-        rho_obs = float(deg.sum()) / (n * n)
         if deg.sum() <= 0:
-            return TrialRecord("degree_distribution", n, rho, 0.0, 0.0,
-                               "none", seed, values,
-                               time.perf_counter() - t0, "skipped: empty graph")
+            return 0.0, 0.0, "none", "skipped: empty graph"
         norm = deg / deg.mean()
         values["d_lp"] = levy_prokhorov(Cdf.from_samples(norm), target)
         if power_law:
@@ -415,11 +414,9 @@ def run_degree_distribution(cfg: ExperimentConfig) -> list:
                 values["tail_slope"] = tail_slope(norm)
             except DegenerateError as exc:
                 note = f"tail fit skipped: {exc}"
-        return TrialRecord("degree_distribution", n, rho, rho_obs, 0.0,
-                           "none", seed, values,
-                           time.perf_counter() - t0, note)
+        return float(deg.sum()) / (n * n), 0.0, "none", note
 
-    return _run_trials(trial, _keys(cfg))
+    return _run_trials(cfg, "degree_distribution", trial)
 
 
 def run_norm_convergence(cfg: ExperimentConfig) -> list:
@@ -427,11 +424,7 @@ def run_norm_convergence(cfg: ExperimentConfig) -> list:
     ||rho^-1 * W[Q_n] - W||_p with vertices in latent order."""
     w_norm = float(lp_norm(cfg.graphon, cfg.p))
 
-    def trial(key):
-        n, seed = key
-        t0 = time.perf_counter()
-        rho = cfg.density(n)
-        values = {v: float("nan") for v in NORM_VALUES}
+    def trial(n, seed, rho, values):
         values["w_norm"] = w_norm
         latent = sample_latent(cfg.graphon, n, seed)
         H = as_matrix(build_h(cfg.graphon, latent))
@@ -439,22 +432,15 @@ def run_norm_convergence(cfg: ExperimentConfig) -> list:
         Q = as_matrix(build_q(cfg.graphon, latent, rho))
         values["q_step_error"] = step_matrix_vs_graphon_lp(Q / rho, cfg.graphon,
                                                            cfg.p)
-        return TrialRecord("norm_convergence", n, rho, density(Q), 0.0,
-                           "none", seed, values, time.perf_counter() - t0)
+        return density(Q), 0.0, "none", ""
 
-    return _run_trials(trial, _keys(cfg))
+    return _run_trials(cfg, "norm_convergence", trial)
 
 
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
-_VALUE_COLUMNS = {
-    "consistency": CONSISTENCY_VALUES,
-    "concentration": CONCENTRATION_VALUES,
-    "degree_distribution": DEGREE_VALUES,
-    "norm_convergence": NORM_VALUES,
-}
 _BASE_COLUMNS = ("experiment", "n", "rho_target", "rho_observed",
                  "kappa_or_k", "algorithm", "seed")
 

@@ -28,10 +28,12 @@ from .common import (
     SearchBudget,
     canonical_labels,
     feasible_partitions,
+    first_min,
     substream,
 )
 
 _MASS_TOL = 1e-12
+_MC_SAMPLES = 200_000      # Monte Carlo pairs for mixed-membership norms
 
 
 @dataclass(frozen=True)
@@ -291,8 +293,7 @@ def _square_quad(f, rel_tol: float = 1e-7, x_points=None, y_points=None) -> Esti
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(W: Graphon, p: float, rel_tol: float = 1e-7,
-            mc_samples: int = 200_000, seed: int = 0) -> Estimate:
+def lp_norm(W: Graphon, p: float) -> Estimate:
     """L^p norm of a graphon: exact for steps, quadrature / Monte Carlo otherwise."""
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -311,19 +312,19 @@ def lp_norm(W: Graphon, p: float, rel_tol: float = 1e-7,
         # where the adaptive integrator resolves algebraic blowups accurately
         a = W.alpha
         kern = lambda s, t: (0.5 * (1.0 - a) * (s ** (-a) + t ** (-a))) ** p
-        est = _square_quad(kern, rel_tol=rel_tol)
+        est = _square_quad(kern)
         return Estimate(est.value ** (1.0 / p), est.error)
     if isinstance(W, MixedMembership):
         if p == 1:
             return Estimate(float(W.mean @ W.B @ W.mean), 0.0)
-        rng = substream(seed, "lp_norm")
-        xs = W.sample_latent(mc_samples, rng)
-        ys = W.sample_latent(mc_samples, rng)
+        rng = substream(0, "lp_norm")
+        xs = W.sample_latent(_MC_SAMPLES, rng)
+        ys = W.sample_latent(_MC_SAMPLES, rng)
         vals = W.eval(xs, ys) ** p
         mean = float(vals.mean())
-        se = float(vals.std(ddof=1)) / math.sqrt(mc_samples)
+        se = float(vals.std(ddof=1)) / math.sqrt(_MC_SAMPLES)
         return Estimate(mean ** (1.0 / p), se / max(p * mean ** (1 - 1 / p), 1e-300))
-    est = _square_quad(lambda x, y: float(W.eval(x, y)) ** p, rel_tol=rel_tol)
+    est = _square_quad(lambda x, y: float(W.eval(x, y)) ** p)
     return Estimate(est.value ** (1.0 / p), est.error)
 
 
@@ -407,7 +408,7 @@ def degree_cdf(W: Graphon, lam: float, mc_samples: int = 100_000, seed: int = 0)
     return Estimate(frac, se)
 
 
-def tail_rho(W: Graphon, rho: float, p: float, rel_tol: float = 1e-7) -> Estimate:
+def tail_rho(W: Graphon, rho: float, p: float) -> Estimate:
     """Truncation tail ||W - min(W, 1/rho)||_p."""
     if not 0.0 < rho <= 1.0:
         raise ParameterError("rho must lie in (0,1]")
@@ -442,19 +443,19 @@ def tail_rho(W: Graphon, rho: float, p: float, rel_tol: float = 1e-7) -> Estimat
                 return [tau ** (-1.0 / a)] if tau > 1.0 else []
 
         f = lambda s, t: max(kern(s, t) - c, 0.0) ** p
-        est = _square_quad(f, rel_tol=rel_tol, x_points=[s_all], y_points=t_cut)
+        est = _square_quad(f, x_points=[s_all], y_points=t_cut)
         return Estimate(est.value ** (1.0 / p) if est.value > 0 else 0.0, est.error)
     if isinstance(W, MixedMembership):
         if float(W.B.max()) <= c:
             return Estimate(0.0, 0.0)
         rng = substream(0, "tail_rho")
-        xs = W.sample_latent(200_000, rng)
-        ys = W.sample_latent(200_000, rng)
+        xs = W.sample_latent(_MC_SAMPLES, rng)
+        ys = W.sample_latent(_MC_SAMPLES, rng)
         vals = np.maximum(W.eval(xs, ys) - c, 0.0) ** p
         mean = float(vals.mean())
         return Estimate(mean ** (1.0 / p) if mean > 0 else 0.0,
                         float(vals.std(ddof=1)) / math.sqrt(vals.size))
-    est = _square_quad(lambda x, y: max(float(W.eval(x, y)) - c, 0.0) ** p, rel_tol=rel_tol)
+    est = _square_quad(lambda x, y: max(float(W.eval(x, y)) - c, 0.0) ** p)
     return Estimate(est.value ** (1.0 / p) if est.value > 0 else 0.0, est.error)
 
 
@@ -463,7 +464,7 @@ def _g_interval_mean(alpha: float, a: float, b: float) -> float:
     return ((1.0 - a) ** (1.0 - alpha) - (1.0 - b) ** (1.0 - alpha)) / (b - a)
 
 
-def step_average(W: Graphon, P: IntervalPartition, rel_tol: float = 1e-9) -> BlockModel:
+def step_average(W: Graphon, P: IntervalPartition) -> BlockModel:
     """Average W over the cells of an interval partition, yielding a block model."""
     if W.latent_space != "unit_interval":
         raise DomainError("step averaging needs a graphon over [0,1]")
@@ -492,9 +493,9 @@ def step_average(W: Graphon, P: IntervalPartition, rel_tol: float = 1e-9) -> Blo
         for i in range(k):
             for j in range(i, k):
                 def inner(x, lo=t[j], hi=t[j + 1]):
-                    v, _ = _quad_1d(lambda y: float(W.eval(x, y)), lo, hi, rel_tol=rel_tol)
+                    v, _ = _quad_1d(lambda y: float(W.eval(x, y)), lo, hi)
                     return v
-                v, _ = _quad_1d(inner, t[i], t[i + 1], rel_tol=rel_tol)
+                v, _ = _quad_1d(inner, t[i], t[i + 1])
                 B[i, j] = B[j, i] = v / (lengths[i] * lengths[j])
     return BlockModel(lengths, B)
 
@@ -542,23 +543,11 @@ def oracle_error_step(model: BlockModel, kappa: float, p: float,
         raise ParameterError("kappa must lie in (0,1]")
     if model.min_mass >= kappa:
         return 0.0, model
-    best_val = math.inf
-    best_cert = None
 
-    def consider(assign):
-        nonlocal best_val, best_cert
-        merged = _merge_model(model, assign)
-        if merged.min_mass < kappa - _MASS_TOL:
+    def candidates():
+        if model.k <= 8:
+            yield from feasible_partitions(model.k, 1, model.k)
             return
-        v = _merge_value(model, merged, assign, p)
-        if v < best_val - 1e-15:
-            best_val = v
-            best_cert = merged
-
-    if model.k <= 8:
-        for assign in feasible_partitions(model.k, 1, model.k):
-            consider(assign)
-    else:
         # greedy pairwise merging of infeasible (too small) groups
         assign = np.arange(model.k)
         while True:
@@ -569,13 +558,21 @@ def oracle_error_step(model: BlockModel, kappa: float, p: float,
             g0 = small[np.argmin(gm[small])]
             g1 = np.argmin(np.where(np.arange(gm.size) == g0, np.inf, gm))
             assign = canonical_labels(np.where(assign == g1, g0, assign))
-        consider(assign)
+        yield assign
         rng = substream(0, "oracle_swaps")
         for _ in range(budget.iterations):
-            i = int(rng.integers(model.k))
+            i = int(rng.integers(model.k))       # the block is drawn before its group
             cand = assign.copy()
             cand[i] = int(rng.integers(assign.max() + 1))
-            consider(canonical_labels(cand))
+            yield canonical_labels(cand)
+
+    def scored():
+        for assign in candidates():
+            merged = _merge_model(model, assign)
+            if merged.min_mass >= kappa - _MASS_TOL:
+                yield _merge_value(model, merged, assign, p), merged
+
+    best_val, best_cert = first_min(scored())
     if best_cert is None:
         # merging everything into one block is always feasible for kappa <= 1
         assign = np.zeros(model.k, dtype=int)
@@ -669,16 +666,17 @@ register_graphon("min_xy", AnalyticGraphon(lambda x, y: 3.0 * np.minimum(x, y), 
 
 
 def _upper_triangle(B: np.ndarray) -> list[float]:
-    k = B.shape[0]
-    return [float(B[i, j]) for i in range(k) for j in range(i, k)]
+    return B[np.triu_indices(B.shape[0])].tolist()
 
 
-def _from_upper_triangle(vals, k: int) -> np.ndarray:
+def _from_upper_triangle(kind: str, vals, k: int) -> np.ndarray:
+    v = np.asarray(vals, dtype=float)
+    if v.shape != (k * (k + 1) // 2,):
+        raise ParameterError(f"graphon kind {kind!r} needs k(k+1)/2 = {k * (k + 1) // 2} "
+                             f"b_upper values for k = {k}, got {v.size}")
     B = np.zeros((k, k))
-    it = iter(vals)
-    for i in range(k):
-        for j in range(i, k):
-            B[i, j] = B[j, i] = next(it)
+    i, j = np.triu_indices(k)
+    B[i, j] = B[j, i] = v
     return B
 
 
@@ -699,21 +697,31 @@ def graphon_to_json(W: Graphon) -> dict:
     raise ParameterError("analytic graphons must be registered by name to serialize")
 
 
+_SPEC_KEYS = {"step": ("p", "b_upper"), "power_law_sum": ("alpha",),
+              "power_law_product": ("alpha",), "mixed_membership": ("alpha", "b_upper"),
+              "named": ("name",)}
+
+
 def graphon_from_json(doc: dict) -> Graphon:
+    if not isinstance(doc, dict):
+        raise ParameterError(f"graphon spec must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
+    if kind not in _SPEC_KEYS:
+        raise ParameterError(f"unknown graphon kind {kind!r}")
+    missing = [key for key in _SPEC_KEYS[kind] if key not in doc]
+    if missing:
+        raise ParameterError(f"graphon kind {kind!r} lacks key(s) {missing}")
     if kind == "step":
         p = np.asarray(doc["p"], dtype=float)
-        return StepGraphon(BlockModel(p, _from_upper_triangle(doc["b_upper"], p.size)))
+        return StepGraphon(BlockModel(p, _from_upper_triangle(kind, doc["b_upper"], p.size)))
     if kind == "power_law_sum":
         return PowerLawSum(float(doc["alpha"]))
     if kind == "power_law_product":
         return PowerLawProduct(float(doc["alpha"]))
     if kind == "mixed_membership":
         alpha = np.asarray(doc["alpha"], dtype=float)
-        return MixedMembership(alpha, _from_upper_triangle(doc["b_upper"], alpha.size))
-    if kind == "named":
-        return named_graphon(doc["name"])
-    raise ParameterError(f"unknown graphon kind {kind!r}")
+        return MixedMembership(alpha, _from_upper_triangle(kind, doc["b_upper"], alpha.size))
+    return named_graphon(doc["name"])
 
 
 def constant_graphon(c: float) -> StepGraphon:

@@ -24,7 +24,6 @@ the same path as a full scan with a tenth or less of its objective calls
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .common import (
     ParameterError,
     SearchBudget,
     SizeError,
+    first_min,
     substream,
 )
 from .graphon import BlockModel, Graphon, StepGraphon
@@ -47,6 +47,9 @@ _SCREEN_MARGIN = 1e-9    # relative to the swap tables' largest entries
 _CELL_GAUSS_ORDER = 8      # Gauss-Legendre nodes per cell axis
 _CELL_TABLES_MAX_BYTES = 1 << 28   # one n x n float64 table per distinct matrix value
 _IPF_ITERS = 500
+_STEP_RANDOM_STARTS = 20   # seeded random transport-polytope vertices in delta_p_step
+_STEP_SLSQP_ITERS = 200
+_LEVY_DEPTH = 40           # bisection steps of levy_prokhorov
 
 
 def matrix_lp(A, p: float) -> float:
@@ -80,7 +83,7 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return t
 
 
-def cut_norm_exact(A, exact_threshold: int = CUT_EXACT_MAX_N):
+def cut_norm_exact(A):
     """Exact cut norm max_{S,T} n^-2 |sum_{S x T} A_ij| with a maximizing pair.
 
     For fixed S with column sums c the best T is read off the signs of c and
@@ -91,9 +94,9 @@ def cut_norm_exact(A, exact_threshold: int = CUT_EXACT_MAX_N):
     """
     m = as_matrix(A)
     n = m.shape[0]
-    if n > exact_threshold:
+    if n > CUT_EXACT_MAX_N:
         raise SizeError(
-            f"exact cut norm is gated at n <= {exact_threshold} (got {n}); "
+            f"exact cut norm is gated at n <= {CUT_EXACT_MAX_N} (got {n}); "
             "use cut_norm_lower")
     h = n // 2
     m_tot = np.hstack([m, m.sum(axis=1)[:, None]])
@@ -167,12 +170,11 @@ def cut_norm_lower(A, budget: SearchBudget = SearchBudget(), seed: int = 0):
     return best / n**2, best_s, best_t
 
 
-def cut_norm(A, budget: SearchBudget = SearchBudget(), seed: int = 0,
-             exact_threshold: int = CUT_EXACT_MAX_N) -> float:
+def cut_norm(A, budget: SearchBudget = SearchBudget(), seed: int = 0) -> float:
     """Exact cut norm when the size gate allows it, heuristic lower bound otherwise."""
     m = as_matrix(A)
-    if m.shape[0] <= exact_threshold:
-        return cut_norm_exact(A, exact_threshold)[0]
+    if m.shape[0] <= CUT_EXACT_MAX_N:
+        return cut_norm_exact(A)[0]
     return cut_norm_lower(A, budget, seed)[0]
 
 
@@ -301,23 +303,14 @@ def _perm_search(objective, n: int, mode: str, budget: SearchBudget, seed: int,
         if n > PERM_EXACT_MAX_N:
             raise SizeError(
                 f"exact permutation search is gated at n <= {PERM_EXACT_MAX_N} (got {n})")
-        best_v = math.inf
-        best_s = None
-        for perm in itertools.permutations(range(n)):
-            v = objective(np.asarray(perm))
-            if v < best_v - 1e-15:
-                best_v = v
-                best_s = np.asarray(perm)
-        return best_v, best_s
+        perms = (np.asarray(perm) for perm in itertools.permutations(range(n)))
+        return first_min((objective(s), s) for s in perms)
     if mode != "heuristic":
         raise ParameterError("mode must be 'exact' or 'heuristic'")
     rng = substream(seed, "perm_search")
     twins = _twin_classes(cell[0]) if cell else None
-    best_v = math.inf
-    best_s = None
 
     def local_search(s: np.ndarray):
-        nonlocal best_v, best_s
         s = s.copy()
         v = objective(s)
         for _ in range(budget.iterations):
@@ -342,14 +335,10 @@ def _perm_search(objective, n: int, mode: str, budget: SearchBudget, seed: int,
                     j += 1
             if not improved:
                 break
-        if v < best_v - 1e-15:
-            best_v = v
-            best_s = s.copy()
+        return v, s
 
-    local_search(init)
-    for _ in range(budget.restarts - 1):
-        local_search(rng.permutation(n))
-    return best_v, best_s
+    starts = itertools.chain([init], (rng.permutation(n) for _ in range(budget.restarts - 1)))
+    return first_min(local_search(s) for s in starts)
 
 
 def hat_delta_p(A, B, p: float, mode: str = "exact",
@@ -391,21 +380,16 @@ def hat_delta_cut(A, B, mode: str = "exact",
     n = a.shape[0]
     inner_budget = SearchBudget(restarts=max(2, budget.restarts // 4),
                                 iterations=budget.iterations)
-
-    if mode == "exact":
-        objective = lambda s: cut_norm_exact(_apply_perm(a, s) - b)[0]
-    else:
-        objective = lambda s: cut_norm(_apply_perm(a, s) - b, inner_budget, seed)
-
+    # exact mode is gated at n <= PERM_EXACT_MAX_N, where cut_norm is exact
+    objective = lambda s: cut_norm(_apply_perm(a, s) - b, inner_budget, seed)
     return _perm_search(objective, n, mode, budget, seed,
                         init=_degree_sorted_alignment(a.sum(axis=1), b.sum(axis=1)))
 
 
-def _cell_integral_tables(W: Graphon, n: int, p: float,
-                          values: np.ndarray) -> dict[float, np.ndarray]:
-    """For each candidate matrix value v, the n x n table of cell integrals
-    of |v - W|^p over the 1/n-grid cells (already carrying the 1/n^2 weight)."""
-    tables: dict[float, np.ndarray] = {}
+def _cell_integral_tables(W: Graphon, n: int, p: float, values: np.ndarray) -> np.ndarray:
+    """tables[i] is the n x n table of cell integrals of |values[i] - W|^p
+    over the 1/n-grid cells (already carrying the 1/n^2 weight)."""
+    tables = np.zeros((values.size, n, n))
     if isinstance(W, StepGraphon):
         cuts = np.unique(np.concatenate([np.linspace(0, 1, n + 1), W._t]))
         seg_len = np.diff(cuts)
@@ -415,10 +399,8 @@ def _cell_integral_tables(W: Graphon, n: int, p: float,
         area = np.outer(seg_len, seg_len)
         ci = cell[:, None].repeat(mids.size, 1)
         cj = cell[None, :].repeat(mids.size, 0)
-        for v in values:
-            tab = np.zeros((n, n))
+        for tab, v in zip(tables, values):
             np.add.at(tab, (ci, cj), np.abs(v - wvals) ** p * area)
-            tables[float(v)] = tab
         return tables
     g = _CELL_GAUSS_ORDER
     nodes, wts = np.polynomial.legendre.leggauss(g)
@@ -426,10 +408,9 @@ def _cell_integral_tables(W: Graphon, n: int, p: float,
     offs = (nodes + 1) / (2 * n)
     xs = (np.arange(n)[:, None] / n + offs[None, :]).ravel()  # n*g points
     wv = W.pair_eval(xs, xs)
-    for v in values:
+    for i, v in enumerate(values):
         cellvals = np.abs(v - wv).reshape(n, g, n, g) ** p
-        tab = np.einsum("agbh,g,h->ab", cellvals, wts / 2, wts / 2) / n**2
-        tables[float(v)] = tab
+        tables[i] = np.einsum("agbh,g,h->ab", cellvals, wts / 2, wts / 2) / n**2
     return tables
 
 
@@ -440,17 +421,15 @@ def hat_delta_p_vs_graphon(A, W: Graphon, p: float, mode: str = "exact",
         raise ParameterError("needs a graphon over [0,1]")
     a = as_matrix(A)
     n = a.shape[0]
-    values = np.unique(a)
+    values, a_idx = np.unique(a, return_inverse=True)
+    a_idx = a_idx.reshape(a.shape)
     need = values.size * n * n * 8
     if need > _CELL_TABLES_MAX_BYTES:
         raise SizeError(
             f"lp-vs-graphon needs one {n}x{n} table per distinct matrix value "
             f"({values.size} values, {need / 2**20:.0f} MiB); gated at "
             f"{_CELL_TABLES_MAX_BYTES / 2**20:.0f} MiB")
-    tables = _cell_integral_tables(W, n, p, values)
-    stacked = np.stack([tables[float(v)] for v in values])
-    index_of = {float(v): i for i, v in enumerate(values)}
-    a_idx = np.vectorize(lambda v: index_of[float(v)])(a).astype(int)
+    stacked = _cell_integral_tables(W, n, p, values)
 
     def objective(s):
         sel = a_idx[np.ix_(s, s)]
@@ -526,19 +505,17 @@ def _repair_marginals(nu: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return x
 
 
-def delta_p_step(W1: BlockModel, W2: BlockModel, p: float,
-                 budget: SearchBudget = SearchBudget(), seed: int = 0):
+def delta_p_step(W1: BlockModel, W2: BlockModel, p: float, seed: int = 0):
     """Upper bound on the coupling distance between two step graphons.
 
     Minimizes E|B - B'|^p over transport plans of the block masses. The
     candidate plans are, in this order: the product plan, two greedy matchings
     by degree, every permutation plan when both models have k <= 6 equal
-    masses, and budget.restarts seeded random transport-polytope vertices.
-    Only the first budget.restarts + 8 candidates get an SLSQP descent; the
-    rest are only scored. The k! permutation plans can fill that slice: at
-    k = 4 with the default budget 1 of the 20 random vertices is polished, and
-    at k >= 5 none is. Nonconvex, so the result is an upper bound; the
-    achieving coupling is returned as the certificate.
+    masses, and 20 seeded random transport-polytope vertices. Only the first
+    28 candidates get an SLSQP descent; the rest are only scored. The k!
+    permutation plans can fill that slice: at k = 4, 1 of the 20 random
+    vertices is polished, and at k >= 5 none is. Nonconvex, so the result is
+    an upper bound; the achieving coupling is returned as the certificate.
     """
     p1, B1 = W1.p, W1.B
     p2, B2 = W2.p, W2.B
@@ -557,7 +534,7 @@ def delta_p_step(W1: BlockModel, W2: BlockModel, p: float,
             candidates.append(nu)
 
     rng = substream(seed, "delta_p_step")
-    for _ in range(budget.restarts):
+    for _ in range(_STEP_RANDOM_STARTS):
         order_p = rng.permutation(k1)
         order_q = rng.permutation(k2)
         candidates.append(_greedy_plan(p1, p2, order_p, order_q))
@@ -578,24 +555,19 @@ def delta_p_step(W1: BlockModel, W2: BlockModel, p: float,
     b_eq = np.concatenate([p1, p2[:-1]])
 
     polished: list[np.ndarray] = []
-    for start in candidates[: budget.restarts + 8]:
+    for start in candidates[: _STEP_RANDOM_STARTS + 8]:
         res = optimize.minimize(
             f, start.ravel(), jac=grad, method="SLSQP",
             bounds=[(0.0, 1.0)] * (k1 * k2),
             constraints={"type": "eq", "fun": lambda x: A_eq @ x - b_eq,
                          "jac": lambda x: A_eq},
-            options={"maxiter": budget.iterations, "ftol": 1e-14})
+            options={"maxiter": _STEP_SLSQP_ITERS, "ftol": 1e-14})
         fixed = _repair_marginals(res.x.reshape(k1, k2), p1, p2)
         if fixed is not None:
             polished.append(fixed)
 
-    best_val = math.inf
-    best_nu = None
-    for nu in candidates + polished:
-        v = float(np.einsum("ik,jl,ikjl->", nu, nu, diff))
-        if v < best_val - 1e-15:
-            best_val = v
-            best_nu = nu
+    best_val, best_nu = first_min((float(np.einsum("ik,jl,ikjl->", nu, nu, diff)), nu)
+                                  for nu in candidates + polished)
     return best_val ** (1.0 / p), Coupling(best_nu, p1, p2)
 
 
@@ -681,7 +653,7 @@ def degree_cdf_of_degrees(deg) -> Cdf:
     return Cdf.from_samples(deg / dbar, provenance="empirical")
 
 
-def levy_prokhorov(D: Cdf, Dp: Cdf, depth: int = 40) -> float:
+def levy_prokhorov(D: Cdf, Dp: Cdf) -> float:
     """Levy-Prokhorov distance between step CDFs, exact via bisection.
 
     Feasibility of a candidate eps is checked at the finite set of breakpoints
@@ -714,7 +686,7 @@ def levy_prokhorov(D: Cdf, Dp: Cdf, depth: int = 40) -> float:
     lo, hi = 0.0, 1.0
     if slack(0.0) <= 0.0:
         return 0.0
-    for _ in range(depth):
+    for _ in range(_LEVY_DEPTH):
         mid = (lo + hi) / 2
         if slack(mid) <= mid + 1e-15:
             hi = mid

@@ -113,6 +113,21 @@ class TestExitCodes:
         assert code == 2
         assert "--b" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ([1, 2], "JSON object"),
+        ({"kind": "step", "b_upper": [1]}, "'step' lacks key(s) ['p']"),
+        ({"kind": "power_law_sum"}, "'power_law_sum' lacks key(s) ['alpha']"),
+        ({"kind": "step", "p": [0.5, 0.5], "b_upper": [1, 1]}, "k(k+1)/2 = 3"),
+        ({"kind": "step", "p": [0.5, 0.5], "b_upper": [1, 1, 1, 1]}, "k(k+1)/2 = 3"),
+    ])
+    def test_bad_graphon_spec_is_exit_2(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "sample", "--graphon", str(path), "--n", "4",
+                               "--rho", "0.5", "--out", str(tmp_path / "g.ssm"))
+        assert code == 2
+        assert message in err
+
     def test_numeric_error_is_exit_4(self, capsys, tmp_path):
         spec = tmp_path / "pl.json"
         spec.write_text(json.dumps({"kind": "power_law_sum", "alpha": 0.5}))
@@ -357,7 +372,14 @@ class TestExperimentCommand:
                 "ns": [16], "seeds": [1], "density": {"kind": "constant", "c": 0.2}}
         cfg_path = tmp_path / "exp.json"
         for doc, key in (({k: v for k, v in base.items() if k != "ns"}, "ns"),
-                         (dict(base, algoritm="least_squares", kapa=0.25), "algoritm")):
+                         (dict(base, algoritm="least_squares", kapa=0.25), "algoritm"),
+                         (dict(base, mode="exact"), "mode"),
+                         (dict(base, algorithm="least_sqares", kappa=0.25), "least_sqares"),
+                         (dict(base, algorithm="least_squares"), "needs kappa"),
+                         (dict(base, algorithm="least_cut", kappa=1.5), "kappa"),
+                         (dict(base, restarts=0), "restarts"),
+                         (dict(base, k_rule="ceil_n_third"), "ceil_n_third"),
+                         ([1], "JSON object")):
             cfg_path.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
                                    "--out", str(tmp_path / "results"))

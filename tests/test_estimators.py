@@ -9,6 +9,7 @@ from conftest import (
     sym_matrix,
 )
 from graphon_kit import estimators
+from graphon_kit.common import first_min
 from graphon_kit import (
     DegenerateError,
     ParameterError,
@@ -38,6 +39,18 @@ def random_adjacency(rng, n, p=0.5):
     return sym_matrix(rng, n, "adjacency") if p == 0.5 else (
         np.triu(rng.random((n, n)) < p, 1).astype(float)
         + np.triu(rng.random((n, n)) < p, 1).astype(float).T)
+
+
+class TestFirstMin:
+    def test_selection_rule(self):
+        # a tie within 1e-15 keeps the earlier item; a real drop replaces it
+        assert first_min([(1.0, "a"), (1.0 - 5e-16, "b")]) == (1.0, "a")
+        assert first_min([(1.0, "a"), (1.0 - 1e-12, "b")]) == (1.0 - 1e-12, "b")
+        assert first_min([(2.0, "a"), (1.0, "b"), (1.0, "c")]) == (1.0, "b")
+        # NaN and inf never win
+        assert first_min([(float("nan"), "a"), (3.0, "b"), (float("nan"), "c")]) == (3.0, "b")
+        assert first_min([(float("inf"), "a"), (float("nan"), "b")]) == (float("inf"), None)
+        assert first_min(iter([])) == (float("inf"), None)
 
 
 class TestKappaRule:

@@ -60,6 +60,22 @@ class TestConfig:
             small_config(seeds=())
         with pytest.raises(ParameterError):
             small_config(density=DensityRule("constant", 2.0))
+        # every field is checked when the config is built, not inside trials
+        for bad, match in ((dict(algorithm="least_sqares"), "least_sqares"),
+                           (dict(algorithm="least_squares"), "needs kappa"),
+                           (dict(algorithm="least_cut", kappa=1.5), "kappa"),
+                           (dict(restarts=0), "restarts"),
+                           (dict(p=0.5), "p must be"),
+                           (dict(k_rule="ceil_n_third"), "ceil_n_third")):
+            with pytest.raises(ParameterError, match=match):
+                small_config(**bad)
+
+    def test_kappa_n_below_one_is_a_skipped_trial(self):
+        records = run_consistency(small_config(ns=(2, 16), algorithm="least_squares",
+                                               kappa=0.25, k_rule=None, restarts=1))
+        notes = {r.n: r.note for r in records}
+        assert notes[2].startswith("skipped: need kappa * n >= 1")
+        assert notes[16] == ""
 
     def test_classes_for(self):
         assert small_config(k_rule="ceil_n_quarter").classes_for(256) == 4
